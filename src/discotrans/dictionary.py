@@ -77,6 +77,21 @@ def _candidates(lex: Lexicon, max_len: int):
                 yield phrase, lex_phrase(lex, phrase)
 
 
+def _image_lexicon(t: Translation, lex: Lexicon, words) -> Lexicon:
+    """Each sense of each word translated once, in sense order.
+
+    Unlike ``translate_lexicon`` nothing is merged, so sense indices
+    still refer to the source lexicon.  Phrases built from these images
+    equal the translated phrases because a translation is monoidal, and
+    a pushed-through target phrase is then bitwise equal to its source
+    image, keeping its distance exactly 0.
+    """
+    return Lexicon(
+        t.target_model,
+        {w: tuple(translate_object(t, obj) for obj in lex.senses(w)) for w in words},
+    )
+
+
 def build_dictionary(
     lexA: Lexicon, lexB: Lexicon, t: Translation, q: DictionaryQuery
 ) -> list[DictionaryEntry]:
@@ -105,10 +120,8 @@ def build_dictionary(
             "raise max_pairs or lower the length limits"
         )
 
-    translated = [
-        (phrase, translate_object(t, obj))
-        for phrase, obj in _candidates(lexA, q.max_source_len)
-    ]
+    images = _image_lexicon(t, lexA, lexA.words)
+    translated = list(_candidates(images, q.max_source_len))
     targets = list(_candidates(lexB, q.max_target_len))
 
     entries = []
@@ -146,7 +159,8 @@ def validate_entry(
     lexA: Lexicon, lexB: Lexicon, t: Translation, entry: DictionaryEntry
 ) -> float:
     """Recompute an entry's distance from the per-word lexicon data."""
-    image = translate_object(t, lex_phrase(lexA, entry.source_phrase))
+    source_words = set(entry.source_phrase.words)
+    image = lex_phrase(_image_lexicon(t, lexA, source_words), entry.source_phrase)
     target: PSObject = lex_phrase(lexB, entry.target_phrase)
     target_array = target.meaning.array
     if entry.reduction.target != target.type:

@@ -11,6 +11,7 @@ fitting a matrix from example vector pairs.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from .errors import (
 from .grammar import PregroupType, Reduction, SimpleType
 from .lexicon import Lexicon
 from .product_space import PSMorphism, PSObject, frobenius_distance
-from .semantics import LanguageModel, _contract, make_tensor, space_shape
+from .semantics import _AXIS_LETTERS, LanguageModel, Tensor, _contract, space_shape
 
 
 @dataclass(frozen=True)
@@ -83,32 +84,53 @@ def j_apply(t: Translation, g: PregroupType) -> PregroupType:
     return PregroupType(tuple(simples))
 
 
-def alpha_component(t: Translation, g: PregroupType) -> np.ndarray:
-    """Component matrix at a product type: Kronecker product of the
-    per-simple matrices.
+def _alpha_block(t: Translation, s: SimpleType) -> np.ndarray:
+    """``alpha[s.base]`` with its rows unflattened to the image block of
+    ``s``: shape ``(*image_block, dim(s.base))``.
 
-    Adjoint simple types reuse the base matrix; an odd adjoint exponent
-    reverses the image word, so the matrix rows are reordered by the
-    matching axis reversal (a no-op for single-simple images).
+    An odd adjoint exponent reverses the image word, so the block axes
+    are reversed to match (a no-op for single-simple images).
     """
-    matrix = np.eye(1)
+    if s.base not in t.alpha:
+        raise UnknownBasicTypeError(f"no meaning matrix for {s.base!r}")
+    matrix = t.alpha[s.base]
+    block = matrix.reshape(*space_shape(t.target_model, t.j[s.base]), matrix.shape[1])
+    if s.z % 2:
+        block = block.transpose(*reversed(range(block.ndim - 1)), block.ndim - 1)
+    return block
+
+
+def alpha_component(t: Translation, g: PregroupType, array) -> np.ndarray:
+    """Apply the component of alpha at type ``g`` to ``array``.
+
+    The leading axes of ``array`` carry ``g`` (one axis per simple
+    type); any further trailing axes pass through unchanged.  The result
+    carries ``j_apply(t, g)`` on its leading axes, followed by the same
+    trailing axes.  The component is the tensor product of the
+    per-simple matrices, applied one axis at a time: one ``tensordot``
+    per simple type, so no phrase-sized matrix is ever built.
+    """
+    array = np.asarray(array, dtype=float)
+    n = len(g.simples)
+    if array.ndim < n:
+        raise TypeMismatchError(
+            f"array of rank {array.ndim} is too small for type '{g}'"
+        )
+    extra = array.ndim - n
+    image_rank = 0
     for s in g.simples:
-        if s.base not in t.alpha:
-            raise UnknownBasicTypeError(f"no meaning matrix for {s.base!r}")
-        component = t.alpha[s.base]
-        if s.z % 2:
-            shape = space_shape(t.target_model, t.j[s.base])
-            if len(shape) > 1:
-                perm = np.arange(math.prod(shape)).reshape(shape)
-                component = component[perm.transpose().ravel()]
-        matrix = np.kron(matrix, component)
-    return matrix
+        block = _alpha_block(t, s)
+        array = np.tensordot(array, block, axes=([0], [block.ndim - 1]))
+        image_rank += block.ndim - 1
+    # the g axes were consumed from the front and the image axes appended,
+    # so the pass-through axes now lead; move them back behind the image
+    return np.moveaxis(array, range(extra), range(image_rank, image_rank + extra))
 
 
 def translate_object(t: Translation, o: PSObject) -> PSObject:
-    flat = alpha_component(t, o.type) @ o.meaning.flat
-    image_type = j_apply(t, o.type)
-    return PSObject.of(make_tensor(t.target_model, image_type, flat))
+    """Image of an object: its meaning pushed through alpha axis by axis."""
+    image = alpha_component(t, o.type, o.meaning.array)
+    return PSObject.of(Tensor(j_apply(t, o.type), image))
 
 
 def translate_reduction(t: Translation, r: Reduction) -> Reduction:
@@ -183,7 +205,10 @@ def compose_translations(t2: Translation, t1: Translation) -> Translation:
             f"second starts at {t2.source_model.name!r}"
         )
     j = {b: j_apply(t2, t1.j[b]) for b in t1.j}
-    alpha = {b: alpha_component(t2, t1.j[b]) @ t1.alpha[b] for b in t1.alpha}
+    alpha = {}
+    for b in t1.alpha:
+        block = _alpha_block(t1, SimpleType(b))
+        alpha[b] = alpha_component(t2, t1.j[b], block).reshape(-1, block.shape[-1])
     return Translation(t1.source_model, t2.target_model, j, alpha)
 
 
@@ -201,24 +226,62 @@ def check_naturality(
     """Verify that translating commutes with reducing along ``r``.
 
     Both paths (reduce-then-translate and translate-then-reduce) are
-    linear, so probing every standard basis vector of the source space
-    is exhaustive; the report carries the worst per-vector Euclidean
-    mismatch.
+    linear, so comparing their images of every standard basis vector of
+    the source space is exhaustive; the report carries the worst
+    per-vector Euclidean mismatch.  Each path is contracted once with
+    the basis index left open, so memory is the target image's size
+    times the source size; no size-by-size matrix and no Kronecker
+    matrix is built.
     """
     image = translate_reduction(t, r)
     src_shape = space_shape(t.source_model, r.source)
     size = math.prod(src_shape)
-    alpha_src = alpha_component(t, r.source)
-    alpha_tgt = alpha_component(t, r.target)
-    basis = np.eye(size).reshape(*src_shape, size)
-    reduced_first = alpha_tgt @ _contract(r, basis).reshape(-1, size)
-    image_shape = space_shape(t.target_model, image.source)
-    translated_first = _contract(
-        image, alpha_src.reshape(*image_shape, size)
+    n = len(src_shape)
+    _check_label_count(n + len(r.survivors))
+    _check_label_count(n + len(image.cups) + len(image.survivors))
+
+    # reduce, then translate: the reduction as a delta pattern over the
+    # source axes (labels 0..n-1, i.e. the basis index last), pushed
+    # through alpha on the target axes.  Both contractions start from a
+    # scalar 1 so that the unit type still has an operand.
+    delta = [np.ones(()), []]
+    for i, j in r.cups:
+        delta += [np.eye(src_shape[i]), [i, j]]
+    for k, pos in enumerate(r.survivors):
+        delta += [np.eye(src_shape[pos]), [n + k, pos]]
+    delta.append([n + k for k in range(len(r.survivors))] + list(range(n)))
+    reduced = np.einsum(*delta, optimize="greedy")
+    tgt_shape = space_shape(t.source_model, r.target)
+    reduced_first = alpha_component(
+        t, r.target, reduced.reshape(*tgt_shape, size)
     ).reshape(-1, size)
+
+    # translate, then reduce: the per-simple alpha blocks side by side,
+    # with the image reduction's cups sharing labels
+    fresh = itertools.count(n)
+    label = [0] * len(image.source)
+    for a, b in image.cups:
+        label[a] = label[b] = next(fresh)
+    for p in image.survivors:
+        label[p] = next(fresh)
+    network: list = [np.ones(()), []]
+    offset = 0
+    for k, s in enumerate(r.source.simples):
+        block = _alpha_block(t, s)
+        width = block.ndim - 1
+        network += [block, label[offset : offset + width] + [k]]
+        offset += width
+    network.append([label[p] for p in image.survivors] + list(range(n)))
+    translated_first = np.einsum(*network, optimize="greedy").reshape(-1, size)
+
     residuals = np.linalg.norm(reduced_first - translated_first, axis=0)
     max_residual = float(residuals.max()) if residuals.size else 0.0
     return NaturalityReport(max_residual, max_residual <= tolerance, tolerance, size)
+
+
+def _check_label_count(count: int) -> None:
+    if count > len(_AXIS_LETTERS):
+        raise TypeMismatchError("too many axes for contraction")
 
 
 def nearest_unitary(matrix: np.ndarray) -> np.ndarray:

@@ -12,11 +12,17 @@ from discotrans.dictionary import (
 )
 from discotrans.errors import BudgetExceededError, ModelMismatchError
 from discotrans.grammar import PregroupType, Reduction, parse_type
-from discotrans.lexicon import Lexicon, Phrase
+from discotrans.lexicon import Lexicon, Phrase, lex_phrase
 from discotrans.product_space import PSObject
 from discotrans.semantics import LanguageModel, make_tensor
-from discotrans.translation import Translation, identity_translation, translate_lexicon
-from oracles import dictionary_by_brute_force
+from discotrans.translation import (
+    Translation,
+    identity_translation,
+    translate_lexicon,
+    translate_object,
+)
+from oracles import dictionary_by_brute_force, image_lexicon, phrases_with_senses
+from test_acceptance import _five_word_pair
 
 
 def _mini_pair(n_target_words=3):
@@ -197,6 +203,38 @@ def test_model_mismatch_rejected(collapse, wardrobe):
     lex_a, _, _ = _mini_pair()
     with pytest.raises(ModelMismatchError):
         build_dictionary(lex_a, wardrobe, collapse, DictionaryQuery())
+
+
+# -- word-by-word translation -------------------------------------------------------
+
+@pytest.mark.parametrize("pair", ["five-word", "wardrobe"])
+def test_whole_phrase_translation_equals_word_by_word(pair, collapse, wardrobe):
+    if pair == "wardrobe":
+        lex, t = wardrobe, collapse
+    else:
+        lex, _, t = _five_word_pair()
+    images = image_lexicon(t, lex)
+    for phrase in phrases_with_senses(lex, 3):
+        whole = translate_object(t, lex_phrase(lex, phrase))
+        split = lex_phrase(images, phrase)
+        assert whole.type == split.type
+        gap = np.max(np.abs(whole.meaning.array - split.meaning.array), initial=0.0)
+        assert gap <= 1e-12
+
+
+def test_pushed_through_phrase_pairs_are_exactly_zero():
+    lex_a, _, t = _five_word_pair()
+    pushed = translate_lexicon(t, lex_a)
+    query = DictionaryQuery(
+        max_source_len=2, max_target_len=2, threshold=0.0, max_pairs=1_000_000
+    )
+    exact = {
+        (e.source_phrase, e.target_phrase)
+        for e in build_dictionary(lex_a, pushed, t, query)
+        if e.reduction.is_identity and e.distance == 0.0
+    }
+    for phrase in phrases_with_senses(lex_a, 2):
+        assert (phrase, phrase) in exact
 
 
 # -- thresholding ---------------------------------------------------------------------

@@ -1,6 +1,12 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from discotrans.demo import collapse_number_translation
 from discotrans.errors import (
     ModelMismatchError,
     NonFunctorialTranslationError,
@@ -27,7 +33,12 @@ from discotrans.translation import (
     translate_reduction,
 )
 from conftest import random_word
-from oracles import random_orthogonal, random_reduction
+from oracles import (
+    alpha_matrix_by_kron,
+    naturality_by_basis_probe,
+    random_orthogonal,
+    random_reduction,
+)
 
 
 def _random_obj(rng, model, g):
@@ -100,20 +111,81 @@ def test_j_reverses_word_images():
 
 # -- alpha components ----------------------------------------------------------------
 
+def _alpha_matrix(t, g):
+    """Per-axis alpha applied to every basis vector of F(g), as a matrix."""
+    shape = space_shape(t.source_model, g)
+    size = int(np.prod(shape, dtype=int))
+    images = alpha_component(t, g, np.eye(size).reshape(*shape, size))
+    return images.reshape(-1, size)
+
+
 def test_alpha_on_unit_is_scalar_identity(collapse):
-    assert alpha_component(collapse, PregroupType()).tolist() == [[1.0]]
+    assert alpha_matrix_by_kron(collapse, PregroupType()).tolist() == [[1.0]]
+    assert _alpha_matrix(collapse, PregroupType()).tolist() == [[1.0]]
 
 
 def test_alpha_on_singular_noun_is_projection(collapse):
     expected = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
-    assert alpha_component(collapse, parse_type("n_s")).tolist() == expected
+    assert alpha_matrix_by_kron(collapse, parse_type("n_s")).tolist() == expected
+    assert _alpha_matrix(collapse, parse_type("n_s")).tolist() == expected
 
 
 def test_alpha_on_verb_type_is_kron(collapse):
-    p = alpha_component(collapse, parse_type("n_s"))
+    p = alpha_matrix_by_kron(collapse, parse_type("n_s"))
     expected = np.kron(p, np.kron(np.eye(1), p))
-    got = alpha_component(collapse, parse_type("n_s^r s n_s^l"))
-    assert np.array_equal(got, expected)
+    verb = parse_type("n_s^r s n_s^l")
+    assert np.array_equal(alpha_matrix_by_kron(collapse, verb), expected)
+    assert np.array_equal(_alpha_matrix(collapse, verb), expected)
+
+
+def _two_simple_translation(rng):
+    """Source n, y, b, s; n maps to the two-simple word n c, b to the
+    reversing word p q, y is erased and s kept."""
+    source = LanguageModel("src", {"n": 3, "y": 2, "b": 4, "s": 2})
+    target = LanguageModel("tgt", {"n": 3, "c": 2, "p": 2, "q": 3, "s": 2})
+    return Translation(
+        source,
+        target,
+        {
+            "n": parse_type("n c"),
+            "y": PregroupType(),
+            "b": parse_type("p q"),
+            "s": parse_type("s"),
+        },
+        {
+            "n": rng.standard_normal((6, 3)),
+            "y": rng.standard_normal((1, 2)),
+            "b": rng.standard_normal((6, 4)),
+            "s": rng.standard_normal((2, 2)),
+        },
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    word=st.lists(
+        st.tuples(st.sampled_from("nybs"), st.sampled_from([-2, -1, 0, 1, 2])),
+        max_size=4,
+    ),
+    trailing=st.lists(st.integers(1, 3), max_size=2),
+)
+@example(seed=0, word=[], trailing=[])
+@example(seed=1, word=[], trailing=[3])
+@example(seed=2, word=[("n", 1), ("s", 0), ("b", -1)], trailing=[2])
+@example(seed=3, word=[("b", 1), ("b", 0), ("n", -2), ("y", 1)], trailing=[2, 3])
+def test_per_axis_alpha_matches_kronecker_matrix(seed, word, trailing):
+    rng = np.random.default_rng(seed)
+    t = _two_simple_translation(rng)
+    g = PregroupType(tuple(SimpleType(b, z) for b, z in word))
+    shape = space_shape(t.source_model, g)
+    array = rng.standard_normal((*shape, *trailing))
+    got = alpha_component(t, g, array)
+    image_shape = space_shape(t.target_model, j_apply(t, g))
+    assert got.shape == (*image_shape, *trailing)
+    flat = array.reshape(int(np.prod(shape, dtype=int)), -1)
+    expected = (alpha_matrix_by_kron(t, g) @ flat).reshape(got.shape)
+    assert np.max(np.abs(got - expected), initial=0.0) <= 1e-12
 
 
 # -- objects and lexicons --------------------------------------------------------------
@@ -349,12 +421,99 @@ def test_orthogonal_component_with_word_valued_map_commutes(rng):
     assert check_naturality(t, r_left, tolerance=1e-9).passed
 
 
+def _naturality_translation(kind, rng):
+    """(translation, source bases) for the naturality property test."""
+    if kind == "collapse":
+        t = collapse_number_translation()
+        return t, ("n_s", "n_p", "s")
+    if kind == "isometric":
+        source = LanguageModel("src", {"x": 6, "y": 2})
+        target = LanguageModel("tgt", {"n": 3, "c": 2, "s": 2})
+        j = {"x": parse_type("n c"), "y": parse_type("s")}
+        return Translation(
+            source, target, j, {"x": random_orthogonal(rng, 6), "y": random_orthogonal(rng, 2)}
+        ), ("x", "y")
+    source = LanguageModel("src", {"x": 3, "y": 2})
+    target = LanguageModel("tgt", {"u": 3, "v": 2})
+    alpha = {"x": random_orthogonal(rng, 3), "y": random_orthogonal(rng, 2)}
+    if kind == "perturbed":
+        alpha = {b: m + 0.01 * rng.standard_normal(m.shape) for b, m in alpha.items()}
+    j = {"x": parse_type("u"), "y": parse_type("v")}
+    return Translation(source, target, j, alpha), ("x", "y")
+
+
+@pytest.mark.parametrize("kind", ["orthogonal", "isometric", "perturbed", "collapse"])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_contracted_naturality_matches_basis_probe(kind, seed):
+    rng = np.random.default_rng(seed)
+    t, bases = _naturality_translation(kind, rng)
+    g = random_word(rng, bases=bases, max_len=5, z_range=(-2, -1, 0, 1, 2))
+    r = random_reduction(rng, g)
+    got = check_naturality(t, r)
+    expected = naturality_by_basis_probe(t, r)
+    assert got.passed == expected.passed
+    assert got.basis_size == expected.basis_size
+    gap = abs(got.max_residual - expected.max_residual)
+    assert gap <= 1e-9 * max(got.max_residual, expected.max_residual) or gap <= 1e-12
+
+
 def test_projection_component_breaks_naturality(collapse):
     g = parse_type("n_s n_s^r s n_p^l n_p")
     r = Reduction.from_cups(g, [(0, 1), (3, 4)])
     report = check_naturality(collapse, r)
     assert report.max_residual > 0.1
     assert not report.passed
+
+
+def _rotating_model(rng, d):
+    model = LanguageModel("m", {"n": d, "s": 1})
+    j = {"n": parse_type("n"), "s": parse_type("s")}
+    return Translation(model, model, j, {"n": random_orthogonal(rng, d), "s": np.eye(1)})
+
+
+def _traced_peak(fn):
+    """(result, seconds, tracemalloc peak bytes) of one call."""
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        result = fn()
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, elapsed, peak
+
+
+def test_three_verb_phrase_translates_without_a_kronecker_matrix(rng):
+    # the phrase has 8**6 entries; its Kronecker matrix would need 512 GiB
+    t = _rotating_model(rng, 8)
+    verbs = [_random_obj(rng, t.source_model, parse_type("n^r s n^l")) for _ in range(3)]
+    phrase = ps_tensor(ps_tensor(verbs[0], verbs[1]), verbs[2])
+    whole, _, peak = _traced_peak(lambda: translate_object(t, phrase))
+    images = [translate_object(t, v) for v in verbs]
+    split = ps_tensor(ps_tensor(images[0], images[1]), images[2])
+    assert whole.type == split.type
+    assert np.max(np.abs(whole.meaning.array - split.meaning.array)) <= 1e-12
+    assert peak < 64 * 2**20
+
+
+def test_naturality_check_of_a_wide_transitive_sentence_is_cheap(rng):
+    t = _rotating_model(rng, 32)
+    r = Reduction.from_cups(parse_type("n n^r s n^l n"), [(0, 1), (3, 4)])
+    report, elapsed, peak = _traced_peak(lambda: check_naturality(t, r))
+    assert report.passed
+    assert report.basis_size == 2**20
+    assert elapsed < 1.0
+    assert peak < 256 * 2**20
+
+
+def test_naturality_check_past_the_einsum_label_limit_is_a_type_error():
+    model = LanguageModel("m", {"x": 1})
+    ident = identity_translation(model)
+    word = parse_type(" ".join(["x"] * 27))
+    with pytest.raises(TypeMismatchError):
+        check_naturality(ident, Reduction.identity(word))
 
 
 # -- nearest orthogonal ----------------------------------------------------------------
