@@ -50,8 +50,6 @@ class Workspace:
     """
 
     models: dict[str, LanguageModel] = field(default_factory=dict)
-    lexicons: dict[str, Lexicon] = field(default_factory=dict)
-    translations: dict[str, Translation] = field(default_factory=dict)
 
     def register_model(self, model: LanguageModel) -> LanguageModel:
         known = self.models.get(model.name)
@@ -65,14 +63,12 @@ class Workspace:
     def load_lexicon(self, path: str) -> Lexicon:
         lex = io.load_lexicon(path)
         self.register_model(lex.model)
-        self.lexicons[path] = lex
         return lex
 
     def load_translation(self, path: str) -> Translation:
         t = io.load_translation(path)
         self.register_model(t.source_model)
         self.register_model(t.target_model)
-        self.translations[path] = t
         return t
 
 

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 from itertools import islice
-from typing import Collection, Iterable, Iterator
+from typing import Collection, Iterable, Iterator, NamedTuple
 
 from .errors import (
     InvalidReductionError,
@@ -34,9 +34,11 @@ BasicType = str
 _SIMPLE_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^(l+|r+))?$")
 
 
-@dataclass(frozen=True, order=True)
-class SimpleType:
-    """A basic type with an adjoint exponent: z < 0 left, z > 0 right."""
+class SimpleType(NamedTuple):
+    """A basic type with an adjoint exponent: z < 0 left, z > 0 right.
+
+    A named tuple, so words of simple types hash and compare in C.
+    """
 
     base: BasicType
     z: int = 0
@@ -117,11 +119,6 @@ def parse_type(text: str, basics: Collection[str] | None = None) -> PregroupType
     return PregroupType(tuple(simples))
 
 
-def tensor_types(g: PregroupType, h: PregroupType) -> PregroupType:
-    """Monoidal product of types: concatenation."""
-    return g @ h
-
-
 @dataclass(frozen=True)
 class Reduction:
     """A type reduction witnessed by cups over the source word.
@@ -129,7 +126,7 @@ class Reduction:
     ``cups`` holds index pairs (i, j), i < j, each contracting the pair
     ``(x, z)`` at i with ``(x, z+1)`` at j; ``survivors`` lists the
     uncupped indices in order, and spells out the target.  Construction
-    validates the whole structure by iterated adjacent-pair elimination.
+    validates the whole structure in one left-to-right pass.
     """
 
     source: PregroupType
@@ -171,94 +168,102 @@ class Reduction:
 
 def _validate(r: Reduction) -> None:
     n = len(r.source)
-    seen: set[int] = set()
+    partner: dict[int, int] = {}
     for cup in r.cups:
         if len(cup) != 2 or not (0 <= cup[0] < cup[1] < n):
             raise InvalidReductionError(f"cup {cup} out of range for word of length {n}")
-        if seen & set(cup):
+        i, j = cup
+        if i in partner or j in partner:
             raise InvalidReductionError(f"index reused across cups at {cup}")
-        seen |= set(cup)
-    expected_survivors = tuple(i for i in range(n) if i not in seen)
-    if r.survivors != expected_survivors:
+        partner[i], partner[j] = j, i
+    # One left-to-right pass with a stack of open cups: a cup must close
+    # innermost first (planarity) and nothing may survive while a cup is
+    # open (fully contracted interiors).
+    simples = r.source.simples
+    open_cups: list[int] = []
+    survivors: list[int] = []
+    for k in range(n):
+        i = partner.get(k, k)
+        if i == k:
+            if open_cups:
+                raise InvalidReductionError("cups are crossing or enclose surviving material")
+            survivors.append(k)
+        elif i > k:
+            open_cups.append(k)
+        elif open_cups.pop() != i:
+            raise InvalidReductionError("cups are crossing or enclose surviving material")
+        else:
+            left, right = simples[i], simples[k]
+            if left.base != right.base or right.z != left.z + 1:
+                raise InvalidReductionError(
+                    f"cup ({i},{k}) joins {left} with {right}, not an adjoint pair"
+                )
+    if r.survivors != tuple(survivors):
         raise InvalidReductionError(
             f"survivors {r.survivors} do not list the uncupped indices in order"
         )
-    if tuple(r.source.simples[i] for i in r.survivors) != r.target.simples:
+    if tuple(simples[i] for i in r.survivors) != r.target.simples:
         raise InvalidReductionError("surviving simple types do not spell the target")
-    # Iterated adjacent-pair elimination: a cup may fire only once the two
-    # endpoints are adjacent among the still-alive indices; this enforces
-    # both planarity and fully-contracted cup interiors.
-    alive = set(range(n))
-    pending = set(r.cups)
-    while pending:
-        fired = None
-        for i, j in pending:
-            if all(k not in alive for k in range(i + 1, j)):
-                left, right = r.source.simples[i], r.source.simples[j]
-                if left.base != right.base or right.z != left.z + 1:
-                    raise InvalidReductionError(
-                        f"cup ({i},{j}) joins {left} with {right}, not an adjoint pair"
-                    )
-                fired = (i, j)
-                break
-        if fired is None:
-            raise InvalidReductionError("cups are crossing or enclose surviving material")
-        alive -= set(fired)
-        pending.discard(fired)
 
 
-@cache
-def _reducible(word: tuple[SimpleType, ...], target: tuple[SimpleType, ...]) -> bool:
-    """Memoized feasibility of reducing ``word`` onto ``target``."""
+Word = tuple[SimpleType, ...]
+
+# Entries kept in the first-cup chart, one per (subword, target suffix),
+# each about 200 bytes.  A length-120 word to the unit fills about 1,900.
+_CHART_SIZE = 1 << 16
+
+
+def _reduces(word: Word, target: Word) -> bool:
+    """Whether some reduction takes ``word`` onto ``target``."""
     if len(word) == len(target):
         return word == target
     if len(word) < len(target) or (len(word) - len(target)) % 2:
         return False
+    return bool(_first_cups(word, target))
+
+
+@lru_cache(maxsize=_CHART_SIZE)
+def _first_cups(word: Word, target: Word) -> tuple[tuple[int, int], ...]:
+    """The chart: every first cup (i, j) that begins a reduction of ``word`` onto ``target``.
+
+    The first cup is the one with the smallest opening index: everything
+    left of i survives and spells ``target[:i]``, the interior contracts
+    to the unit, and the remainder reduces onto ``target[i:]``.  Only
+    called when ``word`` is longer than ``target`` by an even amount.
+    Each (subword, target suffix) is solved once, so feasibility is
+    polynomial in the word length.
+    """
+    cups = []
     for i in range(min(len(target), len(word) - 1) + 1):
         if i > 0 and word[i - 1] != target[i - 1]:
-            return False
-        opener = word[i]
+            break
+        closer = word[i].right
         for j in range(i + 1, len(word), 2):
-            closer = word[j]
-            if closer.base != opener.base or closer.z != opener.z + 1:
-                continue
-            if _reducible(word[i + 1 : j], ()) and _reducible(word[j + 1 :], target[i:]):
-                return True
-    return False
+            if (
+                word[j] == closer
+                and _reduces(word[i + 1 : j], ())
+                and _reduces(word[j + 1 :], target[i:])
+            ):
+                cups.append((i, j))
+    return tuple(cups)
 
 
-def _enum_cups(
-    word: tuple[SimpleType, ...], target: tuple[SimpleType, ...]
-) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Yield every cup set reducing ``word`` to ``target``.
+def _walk(word: Word, target: Word, offset: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Yield the cup sets of a reducible ``word`` onto ``target``, shifted by ``offset``.
 
-    Cup sets come out sorted by opening index and are emitted in
-    lexicographic order of that sorted sequence, so truncation gives the
-    leftmost-cup-first results.  Recursion is on the first cup (i, j):
-    everything left of i survives, the interior contracts to the unit,
-    and the remainder reduces to the leftover target.
+    Cup sets come out sorted by opening index and in lexicographic order
+    of that sorted sequence, so truncation gives the leftmost-cup-first
+    results.  Every chart entry leads to a reduction, so the walk never
+    backtracks.
     """
     if len(word) == len(target):
-        if word == target:
-            yield ()
+        yield ()
         return
-    if len(word) < len(target) or (len(word) - len(target)) % 2:
-        return
-    if not _reducible(word, target):
-        return
-    for i in range(min(len(target), len(word) - 1) + 1):
-        if i > 0 and word[i - 1] != target[i - 1]:
-            return
-        opener = word[i]
-        for j in range(i + 1, len(word), 2):
-            closer = word[j]
-            if closer.base != opener.base or closer.z != opener.z + 1:
-                continue
-            for inner in _enum_cups(word[i + 1 : j], ()):
-                shifted_inner = tuple((a + i + 1, b + i + 1) for a, b in inner)
-                for rest in _enum_cups(word[j + 1 :], target[i:]):
-                    shifted_rest = tuple((a + j + 1, b + j + 1) for a, b in rest)
-                    yield ((i, j),) + shifted_inner + shifted_rest
+    for i, j in _first_cups(word, target):
+        cup = ((offset + i, offset + j),)
+        for inner in _walk(word[i + 1 : j], (), offset + i + 1):
+            for rest in _walk(word[j + 1 :], target[i:], offset + j + 1):
+                yield cup + inner + rest
 
 
 def reduce_search(
@@ -271,8 +276,10 @@ def reduce_search(
     """
     if max_results is not None and max_results < 1:
         raise ValueError("max_results must be at least 1")
+    if not _reduces(source.simples, target.simples):
+        return []
     results = []
-    for cups in islice(_enum_cups(source.simples, target.simples), max_results):
+    for cups in islice(_walk(source.simples, target.simples, 0), max_results):
         cupped = {i for cup in cups for i in cup}
         survivors = tuple(i for i in range(len(source)) if i not in cupped)
         results.append(Reduction(source, target, frozenset(cups), survivors))

@@ -25,12 +25,12 @@ from .translation import Translation
 FORMAT_VERSION = 1
 
 
-def round_sig(x: float, digits: int = 12) -> float:
-    return float(f"{float(x):.{digits}g}")
-
-
 def format_number(x: float, digits: int = 12) -> str:
     return f"{float(x):.{digits}g}"
+
+
+def round_sig(x: float, digits: int = 12) -> float:
+    return float(format_number(x, digits))
 
 
 def _check_format(doc, kind: str) -> dict:
@@ -44,10 +44,17 @@ def _check_format(doc, kind: str) -> dict:
     return doc
 
 
-def _require(doc: dict, key: str, kind: str):
+def _require(doc: dict, key: str, kind: str, container: type | None = None):
+    """``doc[key]``; ``doc`` must be an object and the value, if asked, a ``container``."""
+    if not isinstance(doc, dict):
+        raise FormatError(f"{kind} must be a JSON object")
     if key not in doc:
         raise FormatError(f"{kind} document is missing {key!r}")
-    return doc[key]
+    value = doc[key]
+    if container is not None and not isinstance(value, container):
+        name = "array" if container is list else "object"
+        raise FormatError(f"{kind} {key!r} must be a JSON {name}")
+    return value
 
 
 # -- models -----------------------------------------------------------------
@@ -80,12 +87,12 @@ def _resolve_model(ref, base_dir: Path, kind: str) -> LanguageModel:
 def lexicon_from_doc(doc, base_dir: Path = Path(".")) -> Lexicon:
     doc = _check_format(doc, "lexicon")
     model = _resolve_model(_require(doc, "model", "lexicon"), base_dir, "lexicon")
-    records = _require(doc, "words", "lexicon")
+    records = _require(doc, "words", "lexicon", list)
     entries: dict[str, list[PSObject]] = {}
     for record in records:
         word = str(_require(record, "word", "lexicon record"))
         g = parse_type(str(_require(record, "type", "lexicon record")), model.basics)
-        data = _require(record, "data", "lexicon record")
+        data = _require(record, "data", "lexicon record", list)
         tensor = make_tensor(model, g, data)
         entries.setdefault(word, []).append(PSObject.of(tensor))
     return Lexicon(model, {w: tuple(objs) for w, objs in entries.items()})
@@ -114,8 +121,8 @@ def translation_from_doc(doc, base_dir: Path = Path(".")) -> Translation:
     doc = _check_format(doc, "translation")
     source = _resolve_model(_require(doc, "source", "translation"), base_dir, "translation")
     target = _resolve_model(_require(doc, "target", "translation"), base_dir, "translation")
-    j_doc = _require(doc, "j", "translation")
-    alpha_doc = _require(doc, "alpha", "translation")
+    j_doc = _require(doc, "j", "translation", dict)
+    alpha_doc = _require(doc, "alpha", "translation", dict)
     j = {
         str(b): parse_type(str(image), target.basics) for b, image in j_doc.items()
     }
@@ -149,12 +156,12 @@ def tensor_to_doc(t: Tensor) -> dict:
 def tensor_from_doc(doc, model: LanguageModel) -> Tensor:
     doc = _check_format(doc, "tensor")
     g = parse_type(str(_require(doc, "type", "tensor")), model.basics)
-    return make_tensor(model, g, _require(doc, "data", "tensor"))
+    return make_tensor(model, g, _require(doc, "data", "tensor", list))
 
 
 def matrix_from_doc(doc) -> np.ndarray:
     doc = _check_format(doc, "matrix")
-    matrix = np.asarray(_require(doc, "matrix", "matrix"), dtype=float)
+    matrix = np.asarray(_require(doc, "matrix", "matrix", list), dtype=float)
     if matrix.ndim != 2:
         raise FormatError("matrix must be a list of equal-length rows")
     return matrix
@@ -170,11 +177,11 @@ def matrix_to_doc(matrix: np.ndarray) -> dict:
 def pairs_from_doc(doc) -> list[tuple[list[float], list[float]]]:
     doc = _check_format(doc, "pairs")
     pairs = []
-    for record in _require(doc, "pairs", "pairs"):
+    for record in _require(doc, "pairs", "pairs", list):
         pairs.append(
             (
-                list(_require(record, "source", "pair record")),
-                list(_require(record, "target", "pair record")),
+                list(_require(record, "source", "pair record", list)),
+                list(_require(record, "target", "pair record", list)),
             )
         )
     if not pairs:
@@ -219,7 +226,7 @@ def dictionary_to_doc(entries: list[DictionaryEntry]) -> dict:
 def dictionary_from_doc(doc) -> list[DictionaryEntry]:
     doc = _check_format(doc, "dictionary")
     entries = []
-    for record in _require(doc, "entries", "dictionary"):
+    for record in _require(doc, "entries", "dictionary", list):
         red_doc = _require(record, "reduction", "dictionary entry")
         reduction = Reduction.from_cups(
             parse_type(str(_require(red_doc, "source", "reduction"))),

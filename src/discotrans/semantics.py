@@ -9,7 +9,6 @@ axis pair against the canonical dot product.
 
 from __future__ import annotations
 
-import math
 import string
 from dataclasses import dataclass
 
@@ -146,24 +145,6 @@ def apply_reduction(model: LanguageModel, r: Reduction, t: Tensor) -> Tensor:
             f"{model.name!r} shape {space_shape(model, r.source)}"
         )
     return Tensor(r.target, _contract(r, t.array))
-
-
-def reduction_matrix(model: LanguageModel, r: Reduction) -> np.ndarray:
-    """Explicit matrix of the reduction between flattened spaces.
-
-    Built entry by entry from the Kronecker deltas of the cups, with no
-    shared code with apply_reduction, so the two can check each other.
-    """
-    src_shape = space_shape(model, r.source)
-    tgt_shape = space_shape(model, r.target)
-    matrix = np.zeros((math.prod(tgt_shape), math.prod(src_shape)))
-    for col, idx in enumerate(np.ndindex(*src_shape)):
-        if any(idx[i] != idx[j] for i, j in r.cups):
-            continue
-        out = tuple(idx[k] for k in r.survivors)
-        row = int(np.ravel_multi_index(out, tgt_shape)) if tgt_shape else 0
-        matrix[row, col] = 1.0
-    return matrix
 
 
 def normalize_sentence(model: LanguageModel, t: Tensor) -> Tensor:

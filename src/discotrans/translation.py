@@ -54,6 +54,8 @@ class Translation:
                 raise UnknownBasicTypeError(
                     f"grammar map does not cover basic type {base!r}"
                 )
+            if base not in self.alpha:
+                raise UnknownBasicTypeError(f"alpha has no matrix for basic type {base!r}")
             rows = math.prod(space_shape(self.target_model, frozen_j[base]))
             cols = self.source_model.dim(base)
             matrix = np.asarray(self.alpha[base], dtype=float)

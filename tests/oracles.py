@@ -15,7 +15,7 @@ import numpy as np
 from discotrans.dictionary import DictionaryEntry
 from discotrans.grammar import PregroupType, Reduction
 from discotrans.lexicon import Lexicon, Phrase, lex_phrase
-from discotrans.semantics import _contract, reduction_matrix, space_shape
+from discotrans.semantics import LanguageModel, _contract, space_shape
 from discotrans.translation import (
     NaturalityReport,
     Translation,
@@ -80,6 +80,24 @@ def random_reduction(rng: np.random.Generator, source: PregroupType) -> Reductio
         alive.remove(i)
         alive.remove(j)
     return Reduction.from_cups(source, cups)
+
+
+def reduction_matrix(model: LanguageModel, r: Reduction) -> np.ndarray:
+    """Explicit matrix of the reduction between flattened spaces.
+
+    Built entry by entry from the Kronecker deltas of the cups, with no
+    shared code with apply_reduction, so the two can check each other.
+    """
+    src_shape = space_shape(model, r.source)
+    tgt_shape = space_shape(model, r.target)
+    matrix = np.zeros((math.prod(tgt_shape), math.prod(src_shape)))
+    for col, idx in enumerate(np.ndindex(*src_shape)):
+        if any(idx[i] != idx[j] for i, j in r.cups):
+            continue
+        out = tuple(idx[k] for k in r.survivors)
+        row = int(np.ravel_multi_index(out, tgt_shape)) if tgt_shape else 0
+        matrix[row, col] = 1.0
+    return matrix
 
 
 def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:

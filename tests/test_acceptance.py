@@ -31,7 +31,6 @@ from discotrans.semantics import (
     apply_reduction,
     make_tensor,
     normalize_sentence,
-    reduction_matrix,
     space_shape,
 )
 from discotrans.translation import (
@@ -50,6 +49,7 @@ from oracles import (
     dictionary_by_brute_force,
     random_orthogonal,
     random_reduction,
+    reduction_matrix,
 )
 
 

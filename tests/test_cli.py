@@ -310,6 +310,40 @@ def test_missing_file_is_input_error(capsys):
     assert code == 2
 
 
+def test_lexicon_with_non_array_words_is_input_error(files, capsys):
+    path = files / "aware.lex.json"
+    doc = json.loads(path.read_text())
+    doc["words"] = 5
+    io.save_doc(doc, path)
+    code, _, err = run(capsys, "meaning", "--lex", str(path), "--phrase", "Rosie", "--to", "n_s")
+    assert code == 2
+    assert "'words' must be a JSON array" in err
+
+
+def test_translation_with_non_object_j_is_input_error(files, capsys):
+    path = files / "collapse.json"
+    doc = json.loads(path.read_text())
+    doc["j"] = ["n"]
+    io.save_doc(doc, path)
+    code, _, err = run(
+        capsys, "check", "--translation", str(path), "--from", "n_s", "--to", "n_s"
+    )
+    assert code == 2
+    assert "'j' must be a JSON object" in err
+
+
+def test_translation_without_alpha_matrix_is_input_error(files, capsys):
+    path = files / "collapse.json"
+    doc = json.loads(path.read_text())
+    del doc["alpha"]["n_s"]
+    io.save_doc(doc, path)
+    code, _, err = run(
+        capsys, "check", "--translation", str(path), "--from", "n_s", "--to", "n_s"
+    )
+    assert code == 2
+    assert "no matrix for basic type 'n_s'" in err
+
+
 def test_conflicting_model_declarations_rejected(files, tmp_path, capsys):
     # a second lexicon reusing the model name with other dimensions
     from discotrans.grammar import parse_type

@@ -1,16 +1,19 @@
+import time
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discotrans.errors import InvalidReductionError, TypeSyntaxError, UnknownBasicTypeError
 from discotrans.grammar import (
+    UNIT,
     PregroupType,
     Reduction,
     SimpleType,
     compose_reductions,
     parse_type,
     reduce_search,
-    tensor_types,
 )
 from oracles import all_reductions, random_reduction, reductions_by_elimination
 
@@ -77,9 +80,9 @@ def test_product_adjoint_reverses(g, h):
 @given(words, words, words)
 def test_tensor_types_monoid(g, h, k):
     unit = PregroupType()
-    assert tensor_types(g, unit) == g
-    assert tensor_types(unit, g) == g
-    assert tensor_types(tensor_types(g, h), k) == tensor_types(g, tensor_types(h, k))
+    assert g @ unit == g
+    assert unit @ g == g
+    assert (g @ h) @ k == g @ (h @ k)
 
 
 # -- reduction search ----------------------------------------------------------
@@ -146,7 +149,57 @@ def test_no_returned_reduction_has_crossing_cups(source):
                     assert not (i < k < j < l)
 
 
+def _stacked_word(k):
+    return parse_type(" ".join(["x^l x"] * k + ["x^r x"] * k))
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_stacked_family_reduction_count(k):
+    # (x^l x)^k (x^r x)^k reduces to the unit in half the central
+    # binomial coefficient C(2k, k) ways; the elimination oracle agrees.
+    found = reduce_search(_stacked_word(k), UNIT)
+    assert len(found) == comb(2 * k, k) // 2
+    if k <= 3:
+        assert {r.cups for r in found} == reductions_by_elimination(_stacked_word(k), UNIT)
+
+
+def test_first_reduction_of_long_word_is_lazy():
+    # 120 simple types with C(59, 30) reductions: only the first may be built
+    word = _stacked_word(30)
+    start = time.perf_counter()
+    found = reduce_search(word, UNIT, max_results=1)
+    elapsed = time.perf_counter() - start
+    assert len(found) == 1 and found[0].target == UNIT
+    assert elapsed < 1.0
+
+
 # -- reduction validation --------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_from_cups_rejects_exactly_the_non_reductions(data):
+    source = data.draw(short_words)
+    n = len(source)
+    valid = {r.cups for r in all_reductions(source)}
+    # toggle a few pairs of a valid cup set: adjoint pairs (which may cross
+    # or enclose), or any pairs (reversed, out of range at n, sharing an index)
+    base = data.draw(st.sampled_from(sorted(valid, key=sorted)[-3:]))
+    pairs = st.tuples(st.integers(0, n), st.integers(0, n))
+    adjoint = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if source.simples[j] == source.simples[i].right
+    ]
+    if adjoint:
+        pairs = st.one_of(st.sampled_from(adjoint), st.sampled_from(adjoint), pairs)
+    cups = base ^ data.draw(st.frozensets(pairs, max_size=3))
+    if cups in valid:
+        assert Reduction.from_cups(source, cups).cups == cups
+    else:
+        with pytest.raises(InvalidReductionError):
+            Reduction.from_cups(source, cups)
+
 
 def test_crossing_cups_rejected():
     g = parse_type("a a a^r a^r")

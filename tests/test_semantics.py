@@ -15,13 +15,12 @@ from discotrans.semantics import (
     apply_reduction,
     make_tensor,
     normalize_sentence,
-    reduction_matrix,
     space_shape,
     tensor_product,
     unit_scalar,
 )
 from conftest import random_model, random_word
-from oracles import random_reduction
+from oracles import random_reduction, reduction_matrix
 
 
 # -- models and shapes ---------------------------------------------------------
