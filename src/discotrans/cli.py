@@ -2,7 +2,8 @@
 
 Subcommands: parse, meaning, translate, check, procrustes, fit, dict.
 Exit codes: 0 success, 1 negative result (no reduction, failed check,
-empty dictionary), 2 input error, 3 numeric failure.  Structured output
+empty dictionary), 2 input error (an input too large for memory
+included), 3 numeric failure.  Structured output
 goes to stdout as JSON documents that the loaders can read back;
 numbers are printed with 12 significant digits.
 """
@@ -260,6 +261,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERIC
     except (DiscotransError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -57,6 +57,17 @@ def _require(doc: dict, key: str, kind: str, container: type | None = None):
     return value
 
 
+def _numbers(value, what: str) -> np.ndarray:
+    """``value`` as a float array; every element must be a JSON number."""
+    try:
+        array = np.asarray(value)
+    except ValueError as exc:
+        raise FormatError(f"{what} must be a regular array of numbers") from exc
+    if array.dtype.kind not in "iuf":
+        raise FormatError(f"{what} must hold JSON numbers only")
+    return array.astype(float)
+
+
 # -- models -----------------------------------------------------------------
 
 def model_from_doc(doc) -> LanguageModel:
@@ -64,7 +75,8 @@ def model_from_doc(doc) -> LanguageModel:
     name = _require(doc, "name", "model")
     basic_types = _require(doc, "basic_types", "model")
     if not isinstance(basic_types, dict) or not all(
-        isinstance(v, int) and v >= 1 for v in basic_types.values()
+        isinstance(v, int) and not isinstance(v, bool) and v >= 1
+        for v in basic_types.values()
     ):
         raise FormatError("basic_types must map names to positive integers")
     return LanguageModel(str(name), dict(basic_types))
@@ -93,7 +105,7 @@ def lexicon_from_doc(doc, base_dir: Path = Path(".")) -> Lexicon:
         word = str(_require(record, "word", "lexicon record"))
         g = parse_type(str(_require(record, "type", "lexicon record")), model.basics)
         data = _require(record, "data", "lexicon record", list)
-        tensor = make_tensor(model, g, data)
+        tensor = make_tensor(model, g, _numbers(data, "lexicon record 'data'"))
         entries.setdefault(word, []).append(PSObject.of(tensor))
     return Lexicon(model, {w: tuple(objs) for w, objs in entries.items()})
 
@@ -126,7 +138,7 @@ def translation_from_doc(doc, base_dir: Path = Path(".")) -> Translation:
     j = {
         str(b): parse_type(str(image), target.basics) for b, image in j_doc.items()
     }
-    alpha = {str(b): np.asarray(rows, dtype=float) for b, rows in alpha_doc.items()}
+    alpha = {str(b): _numbers(rows, f"alpha[{b!r}]") for b, rows in alpha_doc.items()}
     return Translation(source, target, j, alpha)
 
 
@@ -156,12 +168,13 @@ def tensor_to_doc(t: Tensor) -> dict:
 def tensor_from_doc(doc, model: LanguageModel) -> Tensor:
     doc = _check_format(doc, "tensor")
     g = parse_type(str(_require(doc, "type", "tensor")), model.basics)
-    return make_tensor(model, g, _require(doc, "data", "tensor", list))
+    data = _require(doc, "data", "tensor", list)
+    return make_tensor(model, g, _numbers(data, "tensor 'data'"))
 
 
 def matrix_from_doc(doc) -> np.ndarray:
     doc = _check_format(doc, "matrix")
-    matrix = np.asarray(_require(doc, "matrix", "matrix", list), dtype=float)
+    matrix = _numbers(_require(doc, "matrix", "matrix", list), "matrix")
     if matrix.ndim != 2:
         raise FormatError("matrix must be a list of equal-length rows")
     return matrix
@@ -178,12 +191,11 @@ def pairs_from_doc(doc) -> list[tuple[list[float], list[float]]]:
     doc = _check_format(doc, "pairs")
     pairs = []
     for record in _require(doc, "pairs", "pairs", list):
-        pairs.append(
-            (
-                list(_require(record, "source", "pair record", list)),
-                list(_require(record, "target", "pair record", list)),
-            )
+        source, target = (
+            _numbers(_require(record, key, "pair record", list), f"pair {key}").tolist()
+            for key in ("source", "target")
         )
+        pairs.append((source, target))
     if not pairs:
         raise FormatError("pairs document holds no pairs")
     return pairs

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,6 +19,8 @@ from .errors import TypeMismatchError, UnknownBasicTypeError
 from .grammar import PregroupType, Reduction
 
 _AXIS_LETTERS = string.ascii_lowercase + string.ascii_uppercase
+# (cups, survivors, operand ranks) keys whose einsum subscripts are kept
+_SUBSCRIPT_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -112,25 +115,50 @@ def tensor_product(u: Tensor, v: Tensor) -> Tensor:
     return Tensor(u.type @ v.type, np.multiply.outer(u.array, v.array))
 
 
-def _contract(r: Reduction, array: np.ndarray) -> np.ndarray:
-    """Apply a reduction's cups as dot-product contractions on ``array``.
+def _contract(r: Reduction, *arrays: np.ndarray) -> np.ndarray:
+    """Apply a reduction's cups as dot-product contractions, in one einsum.
 
-    Extra trailing axes beyond the source word are carried through
-    unchanged (used to push a whole basis through in one call).
+    The operands carry ``r.source``'s axes in order: one phrase tensor,
+    or several factors side by side (word tensors, one matrix per axis)
+    whose outer product is then never formed.  Each operand may carry
+    the same number of trailing axes beyond its share of the source;
+    these pass through, after the survivors, operand by operand.  No
+    operands at all is the scalar 1.
     """
-    n = len(r.source)
-    extra = array.ndim - n
-    if extra < 0:
+    arrays = arrays or (np.ones(()),)
+    subscripts = _subscripts(r.cups, r.survivors, tuple(a.ndim for a in arrays))
+    return np.einsum(subscripts, *arrays, optimize="greedy" if len(arrays) > 1 else False)
+
+
+@lru_cache(maxsize=_SUBSCRIPT_CACHE_SIZE)
+def _subscripts(
+    cups: frozenset[tuple[int, int]], survivors: tuple[int, ...], ranks: tuple[int, ...]
+) -> str:
+    """``_contract``'s einsum subscripts, one label per cup, survivor and
+    pass-through axis, numbered left to right."""
+    n = 2 * len(cups) + len(survivors)
+    extra, rest = divmod(sum(ranks) - n, len(ranks))
+    if extra < 0 or rest or min(ranks) < extra:
         raise TypeMismatchError(
-            f"array of rank {array.ndim} is too small for source '{r.source}'"
+            f"operands of ranks {list(ranks)} cannot carry a source word of length {n}"
         )
-    if n + extra > len(_AXIS_LETTERS):
+    if len(cups) + len(survivors) + extra * len(ranks) > len(_AXIS_LETTERS):
         raise TypeMismatchError("too many axes for contraction")
-    sub = list(_AXIS_LETTERS[: n + extra])
-    for i, j in r.cups:
-        sub[j] = sub[i]
-    out = [sub[k] for k in r.survivors] + list(_AXIS_LETTERS[n : n + extra])
-    return np.einsum(f"{''.join(sub)}->{''.join(out)}", array)
+    letters = iter(_AXIS_LETTERS)
+    partner = dict(cups)
+    label = [""] * n
+    for k in range(n):
+        if not label[k]:
+            label[k] = next(letters)
+            if k in partner:
+                label[partner[k]] = label[k]
+    inputs, out, start = [], [label[k] for k in survivors], 0
+    for rank in ranks:
+        passed = [next(letters) for _ in range(extra)]
+        inputs.append("".join(label[start : start + rank - extra] + passed))
+        out += passed
+        start += rank - extra
+    return ",".join(inputs) + "->" + "".join(out)
 
 
 def apply_reduction(model: LanguageModel, r: Reduction, t: Tensor) -> Tensor:

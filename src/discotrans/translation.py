@@ -11,7 +11,6 @@ fitting a matrix from example vector pairs.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -30,7 +29,7 @@ from .errors import (
 from .grammar import PregroupType, Reduction, SimpleType
 from .lexicon import Lexicon
 from .product_space import PSMorphism, PSObject, frobenius_distance
-from .semantics import _AXIS_LETTERS, LanguageModel, Tensor, _contract, space_shape
+from .semantics import LanguageModel, Tensor, _contract, space_shape
 
 
 @dataclass(frozen=True)
@@ -230,60 +229,25 @@ def check_naturality(
     Both paths (reduce-then-translate and translate-then-reduce) are
     linear, so comparing their images of every standard basis vector of
     the source space is exhaustive; the report carries the worst
-    per-vector Euclidean mismatch.  Each path is contracted once with
-    the basis index left open, so memory is the target image's size
-    times the source size; no size-by-size matrix and no Kronecker
-    matrix is built.
+    per-vector Euclidean mismatch.  Each path is one contraction with
+    the basis index left open (an identity matrix, or an alpha block,
+    per source axis), so memory is the target image's size times the
+    source size; no size-by-size matrix and no Kronecker matrix is
+    built.
     """
     image = translate_reduction(t, r)
     src_shape = space_shape(t.source_model, r.source)
     size = math.prod(src_shape)
-    n = len(src_shape)
-    _check_label_count(n + len(r.survivors))
-    _check_label_count(n + len(image.cups) + len(image.survivors))
-
-    # reduce, then translate: the reduction as a delta pattern over the
-    # source axes (labels 0..n-1, i.e. the basis index last), pushed
-    # through alpha on the target axes.  Both contractions start from a
-    # scalar 1 so that the unit type still has an operand.
-    delta = [np.ones(()), []]
-    for i, j in r.cups:
-        delta += [np.eye(src_shape[i]), [i, j]]
-    for k, pos in enumerate(r.survivors):
-        delta += [np.eye(src_shape[pos]), [n + k, pos]]
-    delta.append([n + k for k in range(len(r.survivors))] + list(range(n)))
-    reduced = np.einsum(*delta, optimize="greedy")
+    reduced = _contract(r, *(np.eye(d) for d in src_shape))
     tgt_shape = space_shape(t.source_model, r.target)
     reduced_first = alpha_component(
         t, r.target, reduced.reshape(*tgt_shape, size)
     ).reshape(-1, size)
-
-    # translate, then reduce: the per-simple alpha blocks side by side,
-    # with the image reduction's cups sharing labels
-    fresh = itertools.count(n)
-    label = [0] * len(image.source)
-    for a, b in image.cups:
-        label[a] = label[b] = next(fresh)
-    for p in image.survivors:
-        label[p] = next(fresh)
-    network: list = [np.ones(()), []]
-    offset = 0
-    for k, s in enumerate(r.source.simples):
-        block = _alpha_block(t, s)
-        width = block.ndim - 1
-        network += [block, label[offset : offset + width] + [k]]
-        offset += width
-    network.append([label[p] for p in image.survivors] + list(range(n)))
-    translated_first = np.einsum(*network, optimize="greedy").reshape(-1, size)
-
+    blocks = (_alpha_block(t, s) for s in r.source.simples)
+    translated_first = _contract(image, *blocks).reshape(-1, size)
     residuals = np.linalg.norm(reduced_first - translated_first, axis=0)
     max_residual = float(residuals.max()) if residuals.size else 0.0
     return NaturalityReport(max_residual, max_residual <= tolerance, tolerance, size)
-
-
-def _check_label_count(count: int) -> None:
-    if count > len(_AXIS_LETTERS):
-        raise TypeMismatchError("too many axes for contraction")
 
 
 def nearest_unitary(matrix: np.ndarray) -> np.ndarray:

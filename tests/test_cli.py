@@ -344,6 +344,55 @@ def test_translation_without_alpha_matrix_is_input_error(files, capsys):
     assert "no matrix for basic type 'n_s'" in err
 
 
+def test_boolean_dimension_is_input_error(files, capsys):
+    # JSON true is a Python int; it must not pass as dimension 1
+    path = files / "aware.lex.json"
+    doc = json.loads(path.read_text())
+    doc["model"]["basic_types"]["s"] = True
+    io.save_doc(doc, path)
+    code, _, err = run(capsys, "meaning", "--lex", str(path), "--phrase", "Rosie", "--to", "n_s")
+    assert code == 2
+    assert "positive integers" in err
+
+
+def test_lexicon_with_non_number_data_is_input_error(files, capsys):
+    path = files / "aware.lex.json"
+    doc = json.loads(path.read_text())
+    doc["words"][0]["data"][0] = {"value": 1}
+    io.save_doc(doc, path)
+    code, _, err = run(capsys, "meaning", "--lex", str(path), "--phrase", "Rosie", "--to", "n_s")
+    assert code == 2
+    assert "'data' must hold JSON numbers only" in err
+
+
+def test_translation_with_object_alpha_is_input_error(files, capsys):
+    path = files / "collapse.json"
+    doc = json.loads(path.read_text())
+    doc["alpha"]["n_s"] = {"rows": doc["alpha"]["n_s"]}
+    io.save_doc(doc, path)
+    code, _, err = run(
+        capsys, "check", "--translation", str(path), "--from", "n_s", "--to", "n_s"
+    )
+    assert code == 2
+    assert "alpha['n_s'] must hold JSON numbers only" in err
+
+
+def test_out_of_memory_is_input_error(files, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 GiB")
+
+    monkeypatch.setattr("discotrans.cli.build_dictionary", exhausted)
+    code, out, err = run(
+        capsys,
+        "dict", "--lex-a", str(files / "aware.lex.json"),
+        "--lex-b", str(files / "blind.lex.json"),
+        "--translation", str(files / "collapse.json"),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: out of memory")
+
+
 def test_conflicting_model_declarations_rejected(files, tmp_path, capsys):
     # a second lexicon reusing the model name with other dimensions
     from discotrans.grammar import parse_type

@@ -1,15 +1,22 @@
+import math
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discotrans.errors import (
     NoReductionError,
     SenseIndexError,
     UnknownWordError,
 )
-from discotrans.grammar import parse_type
+from discotrans.grammar import PregroupType, Reduction, SimpleType, parse_type
 from discotrans.lexicon import Lexicon, Phrase, lex_phrase, phrase_meaning, phrase_reduction
 from discotrans.product_space import PSObject, ps_tensor
-from discotrans.semantics import LanguageModel, make_tensor
+from discotrans.semantics import LanguageModel, _contract, make_tensor, space_shape
+from conftest import random_model, random_word
+from oracles import reduction_matrix, reductions_by_elimination
 
 
 def test_phrase_needs_words():
@@ -125,3 +132,61 @@ def test_meaning_invariant_under_regrouping(wardrobe):
     a = apply_reduction(wardrobe.model, r, left.meaning)
     b = apply_reduction(wardrobe.model, r, right.meaning)
     assert np.max(np.abs(a.array - b.array)) <= 1e-12
+
+
+# -- the word network against the product definition ----------------------------
+
+def _random_obj(rng, model, g):
+    size = math.prod(space_shape(model, g))
+    return PSObject.of(make_tensor(model, g, rng.standard_normal(size)))
+
+
+def _reducible_word_types(rng, target):
+    """Word types whose product reduces onto ``target``: cups inserted at
+    random into the target, the result cut into one to four words."""
+    simples = list(target.simples)
+    for _ in range(rng.integers(0, 4)):
+        s = SimpleType(("x", "y")[rng.integers(2)], int(rng.integers(-1, 2)))
+        at = int(rng.integers(len(simples) + 1))
+        simples[at:at] = [s, s.right]
+    cuts = sorted(rng.integers(0, len(simples) + 1, size=rng.integers(0, 4)))
+    bounds = [0, *cuts, len(simples)]
+    return [PregroupType(tuple(simples[a:b])) for a, b in zip(bounds, bounds[1:])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_phrase_reduction_equals_the_product_definition(seed):
+    # the definition: the first sense assignment in index order whose product
+    # type reduces, its leftmost reduction, applied as an explicit matrix to
+    # the outer product of the word tensors; both the pipeline and the
+    # contraction of the word tensors as one network must give it
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, max_dim=3)
+    target = random_word(rng, max_len=2)
+    entries = {}
+    for k, g in enumerate(_reducible_word_types(rng, target)):
+        # the reducible sense among zero to two random ones, so that the
+        # search backtracks
+        types = [random_word(rng, max_len=3) for _ in range(rng.integers(0, 3))]
+        types.insert(int(rng.integers(len(types) + 1)), g)
+        entries[f"w{k}"] = tuple(_random_obj(rng, model, h) for h in types)
+    lex = Lexicon(model, entries)
+    words = tuple(entries)
+    for senses in product(*(range(len(lex.senses(w))) for w in words)):
+        phrase = lex_phrase(lex, Phrase(words, senses))
+        cup_sets = reductions_by_elimination(phrase.type, target)
+        if cup_sets:
+            break
+    r = Reduction.from_cups(phrase.type, min(cup_sets, key=sorted))
+    meaning, got_r, got_senses = phrase_reduction(lex, Phrase(words), target)
+    assert got_senses == senses
+    assert got_r == r
+    assert meaning.type == target
+    matrix = reduction_matrix(model, r)
+    expected = matrix @ phrase.meaning.flat
+    # relative to the summed magnitudes of the terms behind each entry
+    scale = matrix @ np.abs(phrase.meaning.flat)
+    assert np.all(np.abs(meaning.flat - expected) <= 1e-12 * scale)
+    network = _contract(r, *(lex.senses(w)[i].meaning.array for w, i in zip(words, senses)))
+    assert np.all(np.abs(network.reshape(-1) - expected) <= 1e-12 * scale)

@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from discotrans.grammar import (
 from discotrans.semantics import (
     LanguageModel,
     Tensor,
+    _contract,
     apply_reduction,
     make_tensor,
     normalize_sentence,
@@ -20,7 +24,7 @@ from discotrans.semantics import (
     unit_scalar,
 )
 from conftest import random_model, random_word
-from oracles import random_reduction, reduction_matrix
+from oracles import random_orthogonal, random_reduction, reduction_matrix
 
 
 # -- models and shapes ---------------------------------------------------------
@@ -158,6 +162,35 @@ def test_normalize_rejects_non_scalars():
     model = LanguageModel("m", {"n": 2})
     with pytest.raises(TypeMismatchError):
         normalize_sentence(model, make_tensor(model, parse_type("n"), [1, 2]))
+
+
+def test_contraction_operands_share_one_pass_through_count():
+    r = Reduction.from_cups(parse_type("n n^r"), [(0, 1)])
+    with pytest.raises(TypeMismatchError):
+        _contract(r, np.ones((2, 3)), np.ones(2))
+
+
+def test_word_network_counts_distinct_labels_and_builds_no_phrase_tensor(rng):
+    # 30 adjectives x x^l and a noun x: 61 simple types but 31 distinct
+    # einsum labels, and a phrase tensor of 2**61 entries
+    adjectives = [random_orthogonal(rng, 2) for _ in range(30)]
+    noun = rng.standard_normal(2)
+    g = parse_type(" ".join(["x x^l"] * 30 + ["x"]))
+    r = Reduction.from_cups(g, [(2 * k + 1, 2 * k + 2) for k in range(30)])
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        got = _contract(r, *adjectives, noun)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    folded = noun
+    for a in reversed(adjectives):
+        folded = a @ folded
+    assert np.max(np.abs(got - folded)) <= 1e-12 * np.linalg.norm(noun)
+    assert elapsed < 1.0
+    assert peak < 2**20
 
 
 # -- explicit matrices -------------------------------------------------------------
