@@ -294,6 +294,19 @@ def test_dict_empty_result_is_negative(files, tmp_path, capsys):
     assert out == ""
 
 
+def test_dict_nan_threshold_is_input_error(files, capsys):
+    code, out, err = run(
+        capsys,
+        "dict", "--lex-a", str(files / "aware.lex.json"),
+        "--lex-b", str(files / "blind.lex.json"),
+        "--translation", str(files / "collapse.json"),
+        "--k", "nan",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_dict_output_is_deterministic(files, capsys):
     argv = (
         "dict", "--lex-a", str(files / "aware.lex.json"),

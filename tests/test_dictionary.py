@@ -1,11 +1,17 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from discotrans import dictionary
 from discotrans.dictionary import (
     DictionaryEntry,
     DictionaryQuery,
+    _phrase_buckets,
     build_dictionary,
     threshold_relation,
     validate_entry,
@@ -13,8 +19,8 @@ from discotrans.dictionary import (
 from discotrans.errors import BudgetExceededError, ModelMismatchError
 from discotrans.grammar import PregroupType, Reduction, parse_type
 from discotrans.lexicon import Lexicon, Phrase, lex_phrase
-from discotrans.product_space import PSObject
-from discotrans.semantics import LanguageModel, make_tensor
+from discotrans.product_space import PSObject, frobenius_distance
+from discotrans.semantics import LanguageModel, make_tensor, space_shape
 from discotrans.translation import (
     Translation,
     identity_translation,
@@ -266,3 +272,144 @@ def test_threshold_is_monotone():
 def test_threshold_rejects_negative():
     with pytest.raises(ValueError):
         threshold_relation([], -1.0)
+
+
+def test_query_rejects_nan_threshold():
+    with pytest.raises(ValueError):
+        DictionaryQuery(threshold=math.nan)
+
+
+# -- type buckets -------------------------------------------------------------------
+
+_WORD_TYPES = ("x", "x x", "x^r s", "x x^l", "x^r s x^l", "s")
+
+
+def _random_senses(rng, model, types):
+    return tuple(
+        PSObject.of(make_tensor(model, g, rng.standard_normal(space_shape(model, g))))
+        for g in map(parse_type, types)
+    )
+
+
+def _random_bucket_pair(seed):
+    """Random multi-sense lexicons over x and s, a random translation,
+    and a target side holding one source word pushed through it."""
+    rng = np.random.default_rng(seed)
+    dims = {"x": int(rng.integers(1, 3)), "s": int(rng.integers(1, 3))}
+    src, tgt = LanguageModel("a", dims), LanguageModel("b", dims)
+    t = Translation(
+        src, tgt, {b: parse_type(b) for b in dims},
+        {b: rng.standard_normal((d, d)) for b, d in dims.items()},
+    )
+
+    def pick(types=_WORD_TYPES):
+        return [types[k] for k in rng.choice(len(types), rng.integers(1, 3), replace=False)]
+
+    # "one" and "two" put the word sequences (x, x x) and (x x, x) in one bucket.
+    lex_a = Lexicon(src, {
+        "one": _random_senses(rng, src, ["x"]),
+        "two": _random_senses(rng, src, ["x x"]),
+        "verb": _random_senses(rng, src, pick(("x^r s", "x^r s x^l", "x x^l"))),
+        "any": _random_senses(rng, src, pick()),
+    })
+    pushed = lex_a.words[int(rng.integers(4))]
+    lex_b = Lexicon(tgt, {
+        "b" + pushed: tuple(translate_object(t, obj) for obj in lex_a.senses(pushed)),
+        "bx": _random_senses(rng, tgt, ["x"]),
+        "bs": _random_senses(rng, tgt, pick(("s", "x^r s", "x"))),
+        "bany": _random_senses(rng, tgt, pick()),
+    })
+    query = DictionaryQuery(
+        max_source_len=int(rng.integers(1, 4)),
+        max_target_len=int(rng.integers(1, 3)),
+        target_type_filter=[None, parse_type("s"), parse_type("x")][rng.integers(3)],
+        threshold=[None, 0.0, 2.0, 8.0][rng.integers(4)],
+        max_pairs=10**6,
+    )
+    return lex_a, lex_b, t, query
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_bucketed_build_matches_brute_force(seed):
+    lex_a, lex_b, t, query = _random_bucket_pair(seed)
+    built = build_dictionary(lex_a, lex_b, t, query)
+    _same_entries(built, dictionary_by_brute_force(lex_a, lex_b, t, query))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dictionary, "_BLOCK_ELEMENTS", 1)
+        assert build_dictionary(lex_a, lex_b, t, query) == built
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bucket_rows_are_the_phrase_tensors(seed):
+    lex_a, lex_b, _, _ = _random_bucket_pair(seed)
+    for lex in (lex_a, lex_b, _five_word_pair()[0]):
+        seen = []
+        for g, phrases, stack in _phrase_buckets(lex, 3):
+            assert len(stack) == len(phrases)
+            for phrase, row in zip(phrases, stack):
+                obj = lex_phrase(lex, phrase)
+                assert obj.type == g
+                assert np.array_equal(row, obj.meaning.array)
+            seen += phrases
+        assert len(set(seen)) == len(seen)
+        assert set(seen) == set(phrases_with_senses(lex, 3))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_identity_entries_are_the_frobenius_distance_bit_for_bit(seed):
+    lex_a, lex_b, t, _ = _random_bucket_pair(seed)
+    query = DictionaryQuery(max_source_len=2, max_target_len=2, max_pairs=10**6)
+    images = image_lexicon(t, lex_a)
+    entries = build_dictionary(lex_a, lex_b, t, query)
+    assert any(e.reduction.is_identity for e in entries)
+    for e in entries:
+        if e.reduction.is_identity:
+            expected = frobenius_distance(
+                lex_phrase(images, e.source_phrase).meaning.array,
+                lex_phrase(lex_b, e.target_phrase).meaning.array,
+            )
+            assert e.distance == expected
+        assert validate_entry(lex_a, lex_b, t, e) == e.distance
+
+
+def test_pushed_pairs_stay_zero_when_buckets_differ_in_size():
+    # "p q" reduces onto s by three nested cups.  Its bucket holds one
+    # phrase on the source side and two on the target side, where "q2"
+    # shares q's type; the pushed-through pair must still be exactly 0.
+    rng = np.random.default_rng(3)
+    model = LanguageModel("m", {"x": 3, "s": 1})
+    t = identity_translation(model)
+    lex_a = Lexicon(model, {
+        "p": _random_senses(rng, model, ["x x x"]),
+        "q": _random_senses(rng, model, ["x^r x^r x^r s"]),
+    })
+    lex_b = Lexicon(model, {**lex_a.entries, "q2": _random_senses(rng, model, ["x^r x^r x^r s"])})
+    query = DictionaryQuery(
+        max_source_len=2, max_target_len=2, target_type_filter=parse_type("s"),
+        threshold=0.0, max_pairs=10**6,
+    )
+    kept = {(str(e.source_phrase), str(e.target_phrase))
+            for e in build_dictionary(lex_a, lex_b, t, query)}
+    assert ("p q", "p q") in kept
+
+
+def test_wide_bucket_pair_is_built_in_bounded_memory():
+    # 420 x 420 phrases at d=16: the unblocked difference of the two
+    # "x x" buckets alone would hold 400 * 400 * 256 floats (328 MB).
+    rng = np.random.default_rng(5)
+    model = LanguageModel("m", {"x": 16})
+    lex = Lexicon(model, {f"w{i:02d}": _random_senses(rng, model, ["x"]) for i in range(20)})
+    query = DictionaryQuery(max_source_len=2, max_target_len=2, threshold=0.0, max_pairs=10**6)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        entries = build_dictionary(lex, lex, identity_translation(model), query)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(entries) == 20 + 20 * 20
+    assert all(e.distance == 0.0 and e.source_phrase == e.target_phrase for e in entries)
+    assert elapsed < 2.0
+    assert peak < 16 * 2**20
