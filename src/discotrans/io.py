@@ -58,14 +58,26 @@ def _require(doc: dict, key: str, kind: str, container: type | None = None):
 
 
 def _numbers(value, what: str) -> np.ndarray:
-    """``value`` as a float array; every element must be a JSON number."""
+    """``value`` as a float array; every element must be a finite JSON number.
+
+    A JSON boolean is rejected even among numbers, where numpy would read
+    it as 0 or 1, and so are the NaN and Infinity literals that Python's
+    ``json`` accepts.
+    """
     try:
         array = np.asarray(value)
     except ValueError as exc:
         raise FormatError(f"{what} must be a regular array of numbers") from exc
     if array.dtype.kind not in "iuf":
         raise FormatError(f"{what} must hold JSON numbers only")
-    return array.astype(float)
+    array = array.astype(float)
+    # a boolean is read as 0 or 1, so only those elements need a type check
+    suspects = (array == 0) | (array == 1)
+    if suspects.any() and bool in set(map(type, np.asarray(value, dtype=object)[suspects])):
+        raise FormatError(f"{what} must hold JSON numbers only")
+    if not np.isfinite(array).all():
+        raise FormatError(f"{what} must hold finite numbers only")
+    return array
 
 
 # -- models -----------------------------------------------------------------

@@ -119,13 +119,11 @@ def _contract(r: Reduction, *arrays: np.ndarray) -> np.ndarray:
     """Apply a reduction's cups as dot-product contractions, in one einsum.
 
     The operands carry ``r.source``'s axes in order: one phrase tensor,
-    or several factors side by side (word tensors, one matrix per axis)
-    whose outer product is then never formed.  Each operand may carry
-    the same number of trailing axes beyond its share of the source;
-    these pass through, after the survivors, operand by operand.  No
-    operands at all is the scalar 1.
+    or several factors side by side (word tensors) whose outer product
+    is then never formed.  Each operand may carry the same number of
+    trailing axes beyond its share of the source; these pass through,
+    after the survivors, operand by operand.
     """
-    arrays = arrays or (np.ones(()),)
     subscripts = _subscripts(r.cups, r.survivors, tuple(a.ndim for a in arrays))
     return np.einsum(subscripts, *arrays, optimize="greedy" if len(arrays) > 1 else False)
 

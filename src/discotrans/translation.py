@@ -227,26 +227,42 @@ def check_naturality(
     """Verify that translating commutes with reducing along ``r``.
 
     Both paths (reduce-then-translate and translate-then-reduce) are
-    linear, so comparing their images of every standard basis vector of
-    the source space is exhaustive; the report carries the worst
-    per-vector Euclidean mismatch.  Each path is one contraction with
-    the basis index left open (an identity matrix, or an alpha block,
-    per source axis), so memory is the target image's size times the
-    source size; no size-by-size matrix and no Kronecker matrix is
-    built.
+    linear, so comparing their images of every standard basis vector
+    ``e_i`` of the source space is exhaustive; the report carries the
+    worst per-vector Euclidean mismatch, worked out in closed form
+    without building the basis or contracting anything.
+
+    Both paths apply alpha to the survivors, so they differ only at the
+    cups.  On basic type ``b`` a cup contributes ``δ(i_a, i_b)`` when
+    reducing first and ``G_b[i_a, i_b]``, with ``G_b = α_bᵀ α_b``, when
+    translating first: the image's nested cups pair each image block
+    with its own reverse, which is the dot product of alpha's columns
+    for either adjoint parity.  Hence
+
+        residual(e_i) = ∏_survivors ‖α[:, i_s]‖ · |∏_cups G[i_a, i_b] − ∏_cups δ(i_a, i_b)|.
+
+    Every source axis is a survivor or in exactly one cup, so the
+    maximum factors into independent per-axis maxima: the largest
+    column norm per survivor, times the largest cup term.  With every
+    cup on its diagonal the cup term is ``|∏ diag − 1|``, and diagonals
+    are sums of squares, so its extremes are the products of the
+    per-cup largest and smallest diagonal entries.  With some cup off
+    its diagonal it is ``|∏ G|``, largest when one cup takes its largest
+    off-diagonal ``|G|`` and every other cup its largest ``|G|``.  No
+    cups (or ``G = I``, an identity translation) give exactly 0.
     """
-    image = translate_reduction(t, r)
-    src_shape = space_shape(t.source_model, r.source)
-    size = math.prod(src_shape)
-    reduced = _contract(r, *(np.eye(d) for d in src_shape))
-    tgt_shape = space_shape(t.source_model, r.target)
-    reduced_first = alpha_component(
-        t, r.target, reduced.reshape(*tgt_shape, size)
-    ).reshape(-1, size)
-    blocks = (_alpha_block(t, s) for s in r.source.simples)
-    translated_first = _contract(image, *blocks).reshape(-1, size)
-    residuals = np.linalg.norm(reduced_first - translated_first, axis=0)
-    max_residual = float(residuals.max()) if residuals.size else 0.0
+    if not tolerance >= 0:
+        raise ValueError(f"tolerance must be a non-negative number, got {tolerance}")
+    translate_reduction(t, r)  # raises NonFunctorialTranslationError
+    alphas = [t.alpha[s.base] for s in r.source.simples]
+    grams = [alphas[a].T @ alphas[a] for a, _ in r.cups]
+    offs = [np.abs(g - np.diag(g.diagonal())).max() for g in grams]
+    peaks = [np.abs(g).max() for g in grams]
+    high, low = (math.prod(f(g.diagonal()) for g in grams) for f in (np.max, np.min))
+    some_off = (off * math.prod(peaks[:c] + peaks[c + 1 :]) for c, off in enumerate(offs))
+    scale = math.prod(np.linalg.norm(alphas[k], axis=0).max() for k in r.survivors)
+    max_residual = float(scale * max(high - 1.0, 1.0 - low, *some_off))
+    size = math.prod(space_shape(t.source_model, r.source))
     return NaturalityReport(max_residual, max_residual <= tolerance, tolerance, size)
 
 

@@ -195,6 +195,18 @@ def test_check_identity_translation_passes(files, tmp_path, capsys):
     assert doc["max_residual"] == 0
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "-1"])
+def test_check_nan_or_negative_tolerance_is_input_error(files, capsys, tolerance):
+    code, out, err = run(
+        capsys,
+        "check", "--translation", str(files / "collapse.json"),
+        "--from", "n_s n_s^r s n_p^l n_p", "--to", "s", "--tolerance", tolerance,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 # -- procrustes and fit -----------------------------------------------------------------
 
 def test_procrustes_on_positive_diagonal(tmp_path, capsys):
@@ -376,6 +388,52 @@ def test_lexicon_with_non_number_data_is_input_error(files, capsys):
     code, _, err = run(capsys, "meaning", "--lex", str(path), "--phrase", "Rosie", "--to", "n_s")
     assert code == 2
     assert "'data' must hold JSON numbers only" in err
+
+
+def test_lexicon_with_boolean_among_numbers_is_input_error(files, capsys):
+    # numpy reads [2.0, true, 3.0, 1.0] as floats; the true must not pass as 1.0
+    path = files / "aware.lex.json"
+    doc = json.loads(path.read_text())
+    doc["words"][0]["data"][1] = True
+    io.save_doc(doc, path)
+    code, _, err = run(capsys, "meaning", "--lex", str(path), "--phrase", "Rosie", "--to", "n_s")
+    assert code == 2
+    assert "'data' must hold JSON numbers only" in err
+
+
+def _with_non_finite_rosie(files, value):
+    # json writes these as the NaN and Infinity literals, which json reads back
+    path = files / "aware.lex.json"
+    doc = json.loads(path.read_text())
+    doc["words"][0]["data"][0] = value
+    io.save_doc(doc, path)
+    return path
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_lexicon_with_non_finite_data_is_input_error(files, capsys, value):
+    path = _with_non_finite_rosie(files, value)
+    code, out, err = run(
+        capsys, "meaning", "--lex", str(path), "--phrase", "Rosie", "--to", "n_s"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "finite" in err
+
+
+def test_dict_over_non_finite_data_is_input_error(files, capsys):
+    path = _with_non_finite_rosie(files, float("nan"))
+    code, out, err = run(
+        capsys,
+        "dict", "--lex-a", str(path),
+        "--lex-b", str(files / "blind.lex.json"),
+        "--translation", str(files / "collapse.json"),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "finite" in err
 
 
 def test_translation_with_object_alpha_is_input_error(files, capsys):

@@ -433,6 +433,16 @@ def _naturality_translation(kind, rng):
         return Translation(
             source, target, j, {"x": random_orthogonal(rng, 6), "y": random_orthogonal(rng, 2)}
         ), ("x", "y")
+    if kind == "erasing":
+        # x is erased and y maps to a reversed multi-simple word; y's
+        # columns have unit length but are not orthogonal, so the residual
+        # of its cups comes from the off-diagonal Gram entries
+        source = LanguageModel("src", {"x": 3, "y": 2})
+        target = LanguageModel("tgt", {"u": 2, "v": 2})
+        j = {"x": PregroupType(), "y": parse_type("v u u")}
+        y = rng.standard_normal((8, 2))
+        alpha = {"x": rng.standard_normal((1, 3)), "y": y / np.linalg.norm(y, axis=0)}
+        return Translation(source, target, j, alpha), ("x", "y")
     source = LanguageModel("src", {"x": 3, "y": 2})
     target = LanguageModel("tgt", {"u": 3, "v": 2})
     alpha = {"x": random_orthogonal(rng, 3), "y": random_orthogonal(rng, 2)}
@@ -442,7 +452,9 @@ def _naturality_translation(kind, rng):
     return Translation(source, target, j, alpha), ("x", "y")
 
 
-@pytest.mark.parametrize("kind", ["orthogonal", "isometric", "perturbed", "collapse"])
+@pytest.mark.parametrize(
+    "kind", ["orthogonal", "isometric", "perturbed", "collapse", "erasing"]
+)
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_contracted_naturality_matches_basis_probe(kind, seed):
@@ -456,6 +468,21 @@ def test_contracted_naturality_matches_basis_probe(kind, seed):
     assert got.basis_size == expected.basis_size
     gap = abs(got.max_residual - expected.max_residual)
     assert gap <= 1e-9 * max(got.max_residual, expected.max_residual) or gap <= 1e-12
+
+
+def test_unit_columns_at_an_angle_leave_the_off_diagonal_residual():
+    # every column keeps its length, so the cup's diagonal terms vanish
+    # and the residual is the cosine between the two columns
+    model = LanguageModel("m", {"x": 2})
+    alpha = np.array([[1.0, 0.5], [0.0, np.sqrt(0.75)]])
+    t = Translation(model, model, {"x": parse_type("x")}, {"x": alpha})
+    r = Reduction.from_cups(parse_type("x x^r"), [(0, 1)])
+    report = check_naturality(t, r)
+    assert report.max_residual == pytest.approx(0.5, rel=1e-12)
+    assert report.max_residual == pytest.approx(
+        naturality_by_basis_probe(t, r).max_residual, rel=1e-12
+    )
+    assert not report.passed
 
 
 def test_projection_component_breaks_naturality(collapse):
@@ -508,12 +535,33 @@ def test_naturality_check_of_a_wide_transitive_sentence_is_cheap(rng):
     assert peak < 256 * 2**20
 
 
-def test_naturality_check_past_the_einsum_label_limit_is_a_type_error():
+def test_naturality_check_of_a_d64_transitive_sentence_builds_no_basis(rng):
+    model = LanguageModel("m", {"n": 64, "s": 2})
+    j = {"n": parse_type("n"), "s": parse_type("s")}
+    alpha = {"n": random_orthogonal(rng, 64), "s": random_orthogonal(rng, 2)}
+    t = Translation(model, model, j, alpha)
+    r = Reduction.from_cups(parse_type("n n^r s n^l n"), [(0, 1), (3, 4)])
+    report, _, peak = _traced_peak(lambda: check_naturality(t, r))
+    assert report.passed
+    assert report.basis_size == 2**25
+    assert peak < 2**20
+
+
+def test_naturality_check_of_a_long_identity_reduction_is_exactly_zero():
+    # 27 axes, each with an open basis index, would need 54 einsum labels;
+    # the check must not be bound by einsum's limit of 52
     model = LanguageModel("m", {"x": 1})
-    ident = identity_translation(model)
     word = parse_type(" ".join(["x"] * 27))
-    with pytest.raises(TypeMismatchError):
-        check_naturality(ident, Reduction.identity(word))
+    report = check_naturality(identity_translation(model), Reduction.identity(word))
+    assert report.max_residual == 0.0
+    assert report.basis_size == 1
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), -1.0])
+def test_naturality_check_rejects_a_nan_or_negative_tolerance(collapse, tolerance):
+    r = Reduction.identity(parse_type("n_s"))
+    with pytest.raises(ValueError):
+        check_naturality(collapse, r, tolerance)
 
 
 # -- nearest orthogonal ----------------------------------------------------------------
