@@ -3,9 +3,10 @@
 Subcommands: parse, meaning, translate, check, procrustes, fit, dict.
 Exit codes: 0 success, 1 negative result (no reduction, failed check,
 empty dictionary), 2 input error (an input too large for memory
-included), 3 numeric failure.  Structured output
-goes to stdout as JSON documents that the loaders can read back;
-numbers are printed with 12 significant digits.
+included), 3 numeric failure (a dictionary distance that overflows
+float64 included).  Structured output goes to stdout as JSON documents
+that the loaders can read back; numbers are printed with 12 significant
+digits.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import io
-from .dictionary import DictionaryQuery, build_dictionary
+from .dictionary import DictionaryQuery, build_dictionary_table
 from .errors import (
     DiscotransError,
     ModelMismatchError,
+    NonFiniteError,
     NoReductionError,
     RankDeficientError,
 )
@@ -171,12 +173,12 @@ def cmd_dict(args) -> int:
         threshold=args.k,
         max_pairs=args.max_pairs,
     )
-    entries = build_dictionary(lex_a, lex_b, t, query)
+    table = build_dictionary_table(lex_a, lex_b, t, query)
     if args.json:
-        _print_doc(io.dictionary_to_doc(entries))
-    elif entries:
-        print(io.dictionary_to_rows(entries))
-    return EXIT_OK if entries else EXIT_NEGATIVE
+        _print_doc(io.dictionary_to_doc(table.entries()))
+    elif len(table):
+        print(io.table_to_rows(table))
+    return EXIT_OK if len(table) else EXIT_NEGATIVE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -256,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
     except NoReductionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
-    except (RankDeficientError, np.linalg.LinAlgError) as exc:
+    except (RankDeficientError, NonFiniteError, np.linalg.LinAlgError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (DiscotransError, OSError, ValueError) as exc:

@@ -8,7 +8,9 @@ meanings are close enough.
 Phrases are handled in type buckets: all phrases of one type sit in one
 tensor stack, each (source bucket, target bucket) pair is searched for
 reductions once, and each reduction contracts the whole source stack
-once before its distances are computed a block of rows at a time.
+once before its distances are computed a block of rows at a time.  The
+kept pairs are collected as columns (source phrase, target phrase,
+reduction, distance) and ordered by one ``np.lexsort``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, ModelMismatchError
+from .errors import BudgetExceededError, ModelMismatchError, NonFiniteError
 from .grammar import PregroupType, Reduction, reduce_search
 from .lexicon import Lexicon, Phrase, lex_phrase
 from .semantics import _contract
@@ -45,6 +47,8 @@ class DictionaryEntry:
     distance: float
 
     def sort_key(self):
+        """The order ``build_dictionary`` emits: distance, then source
+        words, target words, source senses, target senses and cups."""
         return (
             self.distance,
             self.source_phrase.words,
@@ -53,6 +57,39 @@ class DictionaryEntry:
             self.target_phrase.sense_choice,
             self.reduction.sorted_cups,
         )
+
+
+@dataclass(frozen=True, eq=False)
+class DictionaryTable:
+    """A dictionary as four columns, sorted by ``DictionaryEntry.sort_key``.
+
+    Row ``k`` pairs ``source_phrases[source[k]]`` with
+    ``target_phrases[target[k]]`` by ``reductions[reduction[k]]`` at
+    ``distance[k]``.  The phrase and reduction tuples hold only what some
+    row points at.
+    """
+
+    source_phrases: tuple[Phrase, ...]
+    target_phrases: tuple[Phrase, ...]
+    reductions: tuple[Reduction, ...]
+    source: np.ndarray
+    target: np.ndarray
+    reduction: np.ndarray
+    distance: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.distance)
+
+    def rows(self):
+        """(source index, target index, reduction index, distance) per row, as Python numbers."""
+        columns = (self.source, self.target, self.reduction, self.distance)
+        return zip(*(column.tolist() for column in columns))
+
+    def entries(self) -> list[DictionaryEntry]:
+        sources, targets, reductions = self.source_phrases, self.target_phrases, self.reductions
+        return [
+            DictionaryEntry(sources[i], targets[j], reductions[r], d) for i, j, r, d in self.rows()
+        ]
 
 
 @dataclass(frozen=True)
@@ -171,10 +208,22 @@ def build_dictionary(
 ) -> list[DictionaryEntry]:
     """Enumerate entry triples over the two vocabularies.
 
+    The entries of ``build_dictionary_table``, in ``DictionaryEntry.sort_key``
+    order.
+    """
+    return build_dictionary_table(lexA, lexB, t, q).entries()
+
+
+def build_dictionary_table(
+    lexA: Lexicon, lexB: Lexicon, t: Translation, q: DictionaryQuery
+) -> DictionaryTable:
+    """Enumerate entry triples over the two vocabularies, as sorted columns.
+
     Without a filter type, each target phrase is taken at its own type;
     with one, both sides are first brought onto the filter type and the
     target side uses its first reduction.  Entries above the threshold
-    (when given) are dropped; output is sorted by (distance, phrases).
+    (when given) are dropped; rows are sorted by (distance, phrases).
+    Raises ``NonFiniteError`` when a distance overflows to inf or NaN.
     """
     if lexA.model != t.source_model:
         raise ModelMismatchError(
@@ -193,7 +242,14 @@ def build_dictionary(
             f"{n_source} x {n_target} phrase pairs exceed the cap of {q.max_pairs}; "
             "raise max_pairs or lower the length limits"
         )
+    # overflow shows up as a non-finite distance, which is checked per block
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _build_table(lexA, lexB, t, q)
 
+
+def _build_table(
+    lexA: Lexicon, lexB: Lexicon, t: Translation, q: DictionaryQuery
+) -> DictionaryTable:
     sources = _phrase_buckets(_image_lexicon(t, lexA, lexA.words), q.max_source_len)
     buckets = _phrase_buckets(lexB, q.max_target_len)
     if q.target_type_filter is None:
@@ -210,23 +266,83 @@ def build_dictionary(
             targets.append((q.target_type_filter, filtered_phrases, np.concatenate(filtered_rows)))
     limit = math.inf if q.threshold is None else q.threshold
 
-    entries = []
-    for source_type, source_phrases, source_stack in sources:
-        for target_type, target_phrases, target_rows in targets:
+    source_phrases = [p for _, phrases, _ in sources for p in phrases]
+    target_phrases = [p for _, phrases, _ in targets for p in phrases]
+    reductions: list[Reduction] = []
+    no_rows = np.empty(0, dtype=np.intp)
+    # (source, target, reduction, distance) columns per block, after an empty one
+    kept = [(no_rows, no_rows, no_rows, np.empty(0))]
+    source_offset = 0
+    for source_type, source_bucket, source_stack in sources:
+        target_offset = 0
+        for target_type, target_bucket, target_rows in targets:
             for r in reduce_search(source_type, target_type):
+                reductions.append(r)
                 reduced = _reduced_rows(r, source_stack)
                 step = max(1, _BLOCK_ELEMENTS // target_rows.size)
                 for start in range(0, len(reduced), step):
                     block = _distances(reduced[start : start + step], target_rows)
-                    kept_i, kept_j = np.nonzero(~(block > limit))
-                    entries.extend(
-                        DictionaryEntry(source_phrases[start + i], target_phrases[j], r, d)
-                        for i, j, d in zip(
-                            kept_i.tolist(), kept_j.tolist(), block[kept_i, kept_j].tolist()
+                    finite = np.isfinite(block)
+                    if not finite.all():
+                        i, j = np.argwhere(~finite)[0]
+                        raise NonFiniteError(
+                            f"distance from {source_bucket[start + i]} to "
+                            f"{target_bucket[j]} by {r} is {block[i, j]}: "
+                            "the arithmetic overflows float64"
                         )
-                    )
-    entries.sort(key=DictionaryEntry.sort_key)
-    return entries
+                    kept_i, kept_j = np.nonzero(block <= limit)
+                    if len(kept_i):
+                        kept.append((
+                            kept_i + (source_offset + start),
+                            kept_j + target_offset,
+                            np.full(len(kept_i), len(reductions) - 1),
+                            block[kept_i, kept_j],
+                        ))
+            target_offset += len(target_bucket)
+        source_offset += len(source_bucket)
+    source, target, reduction, distance = map(np.concatenate, zip(*kept))
+    return _sorted_table(
+        source_phrases, target_phrases, reductions, source, target, reduction, distance
+    )
+
+
+def _sorted_table(
+    source_phrases, target_phrases, reductions, source, target, reduction, distance
+) -> DictionaryTable:
+    """The kept rows in ``DictionaryEntry.sort_key`` order, by one ``np.lexsort``.
+
+    Only the phrases and reductions that some row uses are ranked.  Each
+    rank is dense, so equal keys rank equally, and no two rows share a
+    full key, so the order is the one Python's sort gives the entries.
+    Distances are finite here, so they sort as they compare.
+    """
+    source_phrases, source = _used(source_phrases, source)
+    target_phrases, target = _used(target_phrases, target)
+    reductions, reduction = _used(reductions, reduction)
+    order = np.lexsort((
+        _ranks([r.sorted_cups for r in reductions])[reduction],
+        _ranks([p.sense_choice for p in target_phrases])[target],
+        _ranks([p.sense_choice for p in source_phrases])[source],
+        _ranks([p.words for p in target_phrases])[target],
+        _ranks([p.words for p in source_phrases])[source],
+        distance,
+    ))
+    return DictionaryTable(
+        source_phrases, target_phrases, reductions,
+        source[order], target[order], reduction[order], distance[order],
+    )
+
+
+def _used(items: list, column: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """The items a column points at, and the column re-pointed into them."""
+    used, column = np.unique(column, return_inverse=True)
+    return tuple(items[i] for i in used.tolist()), column
+
+
+def _ranks(keys: list) -> np.ndarray:
+    """Each key's position among the distinct keys, in Python's order."""
+    position = {key: rank for rank, key in enumerate(sorted(set(keys)))}
+    return np.array([position[key] for key in keys], dtype=np.intp)
 
 
 def threshold_relation(entries: list[DictionaryEntry], k: float) -> list[DictionaryEntry]:

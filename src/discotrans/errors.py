@@ -51,3 +51,7 @@ class BudgetExceededError(DiscotransError):
 
 class FormatError(DiscotransError):
     """An input document does not match the expected file schema."""
+
+
+class NonFiniteError(DiscotransError):
+    """A computed value overflowed float64 to infinity or NaN."""

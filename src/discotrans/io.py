@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dictionary import DictionaryEntry
+from .dictionary import DictionaryEntry, DictionaryTable
 from .errors import FormatError
 from .grammar import Reduction, parse_type
 from .lexicon import Lexicon, Phrase
@@ -267,20 +267,27 @@ def dictionary_from_doc(doc) -> list[DictionaryEntry]:
     return entries
 
 
+def _row(source: str, target: str, reduction: str, distance: float) -> str:
+    return f"{source}\t{target}\t{reduction}\t{format_number(distance)}"
+
+
 def dictionary_to_rows(entries: list[DictionaryEntry]) -> str:
     """Tab-separated rows: phrase, phrase, reduction, distance."""
-    lines = [
-        "\t".join(
-            [
-                str(e.source_phrase),
-                str(e.target_phrase),
-                str(e.reduction),
-                format_number(e.distance),
-            ]
-        )
+    return "\n".join(
+        _row(str(e.source_phrase), str(e.target_phrase), str(e.reduction), e.distance)
         for e in entries
-    ]
-    return "\n".join(lines)
+    )
+
+
+def table_to_rows(table: DictionaryTable) -> str:
+    """``dictionary_to_rows(table.entries())``, formatted from the columns
+    with each phrase's and each reduction's text made once."""
+    sources = [str(p) for p in table.source_phrases]
+    targets = [str(p) for p in table.target_phrases]
+    reductions = [str(r) for r in table.reductions]
+    return "\n".join(
+        _row(sources[i], targets[j], reductions[r], d) for i, j, r, d in table.rows()
+    )
 
 
 # -- path-level helpers -------------------------------------------------------

@@ -3,10 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from discotrans import io
+from discotrans import dictionary, io
 from discotrans.cli import main
 from discotrans.demo import collapse_number_translation, wardrobe_lexicon
+from discotrans.dictionary import DictionaryQuery, build_dictionary
+from discotrans.grammar import parse_type
 from discotrans.translation import translate_lexicon
+from test_dictionary import _random_bucket_pair, overflow_pair
 
 
 @pytest.fixture
@@ -330,6 +333,99 @@ def test_dict_output_is_deterministic(files, capsys):
     assert first == second
 
 
+def _demo_dict(files):
+    argv = [
+        "dict", "--lex-a", str(files / "aware.lex.json"),
+        "--lex-b", str(files / "blind.lex.json"),
+        "--translation", str(files / "collapse.json"),
+        "--max-source-len", "2", "--max-target-len", "2", "--max-pairs", "10000",
+    ]
+    return argv, DictionaryQuery(max_source_len=2, max_target_len=2, max_pairs=10_000)
+
+
+def _random_dict(tmp_path, seed):
+    """A multi-bucket pair reduced onto s and thresholded."""
+    lex_a, lex_b, t, _ = _random_bucket_pair(seed)
+    for name, doc in [("a.lex.json", io.lexicon_to_doc(lex_a)),
+                      ("b.lex.json", io.lexicon_to_doc(lex_b)),
+                      ("t.json", io.translation_to_doc(t))]:
+        io.save_doc(doc, tmp_path / name)
+    argv = [
+        "dict", "--lex-a", str(tmp_path / "a.lex.json"), "--lex-b", str(tmp_path / "b.lex.json"),
+        "--translation", str(tmp_path / "t.json"),
+        "--max-source-len", "3", "--max-target-len", "2", "--to", "s", "--k", "8",
+    ]
+    query = DictionaryQuery(
+        max_source_len=3, max_target_len=2, target_type_filter=parse_type("s"), threshold=8.0
+    )
+    return argv, query
+
+
+def _library_entries(argv, query):
+    """What ``build_dictionary`` gives on the files a ``dict`` command reads."""
+    files = dict(zip(argv[1::2], argv[2::2]))
+    lex_a, lex_b = io.load_lexicon(files["--lex-a"]), io.load_lexicon(files["--lex-b"])
+    return build_dictionary(lex_a, lex_b, io.load_translation(files["--translation"]), query)
+
+
+# at these seeds, phrases of two types reduce onto s on each side
+@pytest.fixture(params=["demo", "random-2", "random-9", "random-23"])
+def dict_case(request, files, tmp_path):
+    if request.param == "demo":
+        return _demo_dict(files)
+    return _random_dict(tmp_path, int(request.param.split("-")[1]))
+
+
+def test_dict_rows_are_the_library_rows(dict_case, capsys):
+    argv, query = dict_case
+    entries = _library_entries(argv, query)
+    assert len({e.source_phrase.words for e in entries}) > 1
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == io.dictionary_to_rows(entries) + "\n"
+
+
+def test_dict_json_is_the_library_document(dict_case, capsys):
+    argv, query = dict_case
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert json.loads(out) == io.dictionary_to_doc(_library_entries(argv, query))
+
+
+def test_dict_rows_build_no_entry_objects(files, capsys, monkeypatch):
+    built = []
+
+    class CountedEntry(dictionary.DictionaryEntry):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(dictionary, "DictionaryEntry", CountedEntry)
+    argv, _ = _demo_dict(files)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out
+    assert built == []
+    # the counter does see the entries that --json needs
+    code, out, _ = run(capsys, *argv, "--json")
+    assert len(built) == len(json.loads(out)["entries"]) > 0
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"], ["--k", "1"]], ids=["rows", "json", "k1"])
+def test_dict_overflow_is_numeric_error(tmp_path, capsys, extra):
+    lex, t = overflow_pair()
+    io.save_doc(io.lexicon_to_doc(lex), tmp_path / "big.lex.json")
+    io.save_doc(io.translation_to_doc(t), tmp_path / "id.json")
+    code, out, err = run(
+        capsys,
+        "dict", "--lex-a", str(tmp_path / "big.lex.json"), "--lex-b", str(tmp_path / "big.lex.json"),
+        "--translation", str(tmp_path / "id.json"),
+        "--max-source-len", "2", "--max-target-len", "2", *extra,
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numeric error:") and err.count("\n") == 1
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "meaning", "--lex", "nope.json", "--phrase", "x", "--to", "s")
     assert code == 2
@@ -452,7 +548,7 @@ def test_out_of_memory_is_input_error(files, capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 8.00 GiB")
 
-    monkeypatch.setattr("discotrans.cli.build_dictionary", exhausted)
+    monkeypatch.setattr("discotrans.cli.build_dictionary_table", exhausted)
     code, out, err = run(
         capsys,
         "dict", "--lex-a", str(files / "aware.lex.json"),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -16,7 +17,7 @@ from discotrans.dictionary import (
     threshold_relation,
     validate_entry,
 )
-from discotrans.errors import BudgetExceededError, ModelMismatchError
+from discotrans.errors import BudgetExceededError, ModelMismatchError, NonFiniteError
 from discotrans.grammar import PregroupType, Reduction, parse_type
 from discotrans.lexicon import Lexicon, Phrase, lex_phrase
 from discotrans.product_space import PSObject, frobenius_distance
@@ -185,6 +186,25 @@ def test_entries_are_sorted_and_deterministic():
     assert keys == sorted(keys)
 
 
+def overflow_pair():
+    """Two x words, one of them huge enough that squared distances overflow."""
+    model = LanguageModel("m", {"x": 2})
+    lex = Lexicon(model, {
+        "big": (PSObject.of(make_tensor(model, parse_type("x"), [1e200, 1.0])),),
+        "a": (PSObject.of(make_tensor(model, parse_type("x"), [0.5, 2.0])),),
+    })
+    return lex, identity_translation(model)
+
+
+@pytest.mark.parametrize("threshold", [None, 1.0])
+def test_non_finite_distance_is_a_numeric_error(threshold):
+    # RuntimeWarning is an error under pytest, so none may escape either
+    lex, t = overflow_pair()
+    query = DictionaryQuery(max_source_len=2, max_target_len=2, threshold=threshold)
+    with pytest.raises(NonFiniteError, match="overflows float64"):
+        build_dictionary(lex, lex, t, query)
+
+
 def test_entry_distances_revalidate():
     lex_a, lex_b, t = _mini_pair()
     query = DictionaryQuery(max_source_len=2, max_target_len=2, max_pairs=1_000_000)
@@ -334,10 +354,31 @@ def _random_bucket_pair(seed):
 def test_bucketed_build_matches_brute_force(seed):
     lex_a, lex_b, t, query = _random_bucket_pair(seed)
     built = build_dictionary(lex_a, lex_b, t, query)
+    assert built == sorted(built, key=DictionaryEntry.sort_key)
     _same_entries(built, dictionary_by_brute_force(lex_a, lex_b, t, query))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dictionary, "_BLOCK_ELEMENTS", 1)
         assert build_dictionary(lex_a, lex_b, t, query) == built
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_distance_ties_are_ordered_by_the_rest_of_the_sort_key(seed):
+    # all-ones tensors, each sense twice, under an identity translation: a
+    # distance depends on the types alone, so most entries tie on it and
+    # words, senses and cups decide their order
+    lex_a, _, _, query = _random_bucket_pair(seed)
+    model = lex_a.model
+    ones = Lexicon(model, {
+        w: tuple(PSObject.of(make_tensor(model, o.type, np.ones(space_shape(model, o.type))))
+                 for o in lex_a.senses(w) for _ in range(2))
+        for w in lex_a.words
+    })
+    query = dataclasses.replace(
+        query, max_source_len=2, threshold=None, target_type_filter=None
+    )
+    built = build_dictionary(ones, ones, identity_translation(model), query)
+    assert len({e.distance for e in built}) < len(built)
+    assert built == sorted(built, key=DictionaryEntry.sort_key)
 
 
 @pytest.mark.parametrize("seed", range(6))
