@@ -2,11 +2,11 @@
 
 Subcommands: parse, meaning, translate, check, procrustes, fit, dict.
 Exit codes: 0 success, 1 negative result (no reduction, failed check,
-empty dictionary), 2 input error (an input too large for memory
-included), 3 numeric failure (a dictionary distance that overflows
-float64 included).  Structured output goes to stdout as JSON documents
-that the loaders can read back; numbers are printed with 12 significant
-digits.
+empty dictionary), 2 input error (an input too large for memory and a
+type too long to search for reductions included), 3 numeric failure (a
+dictionary distance that overflows float64 included).  Structured output
+goes to stdout as JSON documents that the loaders can read back; numbers
+are printed with 12 significant digits.
 """
 
 from __future__ import annotations
@@ -266,6 +266,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except RecursionError:
+        print("error: a type is too long to search for reductions", file=sys.stderr)
         return EXIT_INPUT
 
 

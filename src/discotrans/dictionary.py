@@ -114,14 +114,17 @@ def _candidate_count(lex: Lexicon, max_len: int) -> int:
 
 def _phrase_buckets(
     lex: Lexicon, max_len: int
-) -> list[tuple[PregroupType, list[Phrase], np.ndarray]]:
+) -> list[tuple[PregroupType, list[tuple[tuple[str, ...], tuple[int, ...]]], np.ndarray]]:
     """Every phrase-with-senses up to the length cap, grouped by type.
 
-    Each bucket is (type, phrases, stack) with one phrase tensor per row
-    of the stack.  Phrases grow one word at a time on the right by the
-    outer products ``lex_phrase`` takes, so every row is bitwise equal to
-    its phrase's ``lex_phrase`` tensor.  Word sequences whose types
-    concatenate to the same type share a bucket.
+    Each bucket is (type, labels, stack) with one phrase tensor per row
+    of the stack.  A label is the phrase's (words, senses) pair of
+    tuples, the fields of its ``Phrase``; no ``Phrase`` is made here, so
+    the build pays for one only where a kept row needs it.  Phrases grow
+    one word at a time on the right by the outer products ``lex_phrase``
+    takes, so every row is bitwise equal to its phrase's ``lex_phrase``
+    tensor.  Word sequences whose types concatenate to the same type
+    share a bucket.
     """
     by_type: dict[PregroupType, tuple[list, list]] = {}
     for word in lex.words:
@@ -145,7 +148,7 @@ def _phrase_buckets(
     return [
         (
             g,
-            [Phrase(w, s) for labels, _ in parts for w, s in labels],
+            [label for labels, _ in parts for label in labels],
             parts[0][1] if len(parts) == 1 else np.concatenate([stack for _, stack in parts]),
         )
         for g, parts in buckets.items()
@@ -253,21 +256,21 @@ def _build_table(
     sources = _phrase_buckets(_image_lexicon(t, lexA, lexA.words), q.max_source_len)
     buckets = _phrase_buckets(lexB, q.max_target_len)
     if q.target_type_filter is None:
-        targets = [(g, phrases, stack.reshape(len(phrases), -1)) for g, phrases, stack in buckets]
+        targets = [(g, labels, stack.reshape(len(labels), -1)) for g, labels, stack in buckets]
     else:
-        filtered_phrases, filtered_rows = [], []
-        for g, phrases, stack in buckets:
+        filtered_labels, filtered_rows = [], []
+        for g, labels, stack in buckets:
             onto = reduce_search(g, q.target_type_filter, max_results=1)
             if onto:
-                filtered_phrases += phrases
+                filtered_labels += labels
                 filtered_rows.append(_reduced_rows(onto[0], stack))
         targets = []
         if filtered_rows:
-            targets.append((q.target_type_filter, filtered_phrases, np.concatenate(filtered_rows)))
+            targets.append((q.target_type_filter, filtered_labels, np.concatenate(filtered_rows)))
     limit = math.inf if q.threshold is None else q.threshold
 
-    source_phrases = [p for _, phrases, _ in sources for p in phrases]
-    target_phrases = [p for _, phrases, _ in targets for p in phrases]
+    source_labels = [label for _, labels, _ in sources for label in labels]
+    target_labels = [label for _, labels, _ in targets for label in labels]
     reductions: list[Reduction] = []
     no_rows = np.empty(0, dtype=np.intp)
     # (source, target, reduction, distance) columns per block, after an empty one
@@ -286,8 +289,8 @@ def _build_table(
                     if not finite.all():
                         i, j = np.argwhere(~finite)[0]
                         raise NonFiniteError(
-                            f"distance from {source_bucket[start + i]} to "
-                            f"{target_bucket[j]} by {r} is {block[i, j]}: "
+                            f"distance from {' '.join(source_bucket[start + i][0])} to "
+                            f"{' '.join(target_bucket[j][0])} by {r} is {block[i, j]}: "
                             "the arithmetic overflows float64"
                         )
                     kept_i, kept_j = np.nonzero(block <= limit)
@@ -302,41 +305,46 @@ def _build_table(
         source_offset += len(source_bucket)
     source, target, reduction, distance = map(np.concatenate, zip(*kept))
     return _sorted_table(
-        source_phrases, target_phrases, reductions, source, target, reduction, distance
+        source_labels, target_labels, reductions, source, target, reduction, distance
     )
 
 
 def _sorted_table(
-    source_phrases, target_phrases, reductions, source, target, reduction, distance
+    source_labels, target_labels, reductions, source, target, reduction, distance
 ) -> DictionaryTable:
     """The kept rows in ``DictionaryEntry.sort_key`` order, by one ``np.lexsort``.
 
-    Only the phrases and reductions that some row uses are ranked.  Each
-    rank is dense, so equal keys rank equally, and no two rows share a
-    full key, so the order is the one Python's sort gives the entries.
-    Distances are finite here, so they sort as they compare.
+    Only the phrase labels and reductions that some row uses are ranked,
+    and only their labels become ``Phrase`` objects.  Each rank is dense,
+    so equal keys rank equally, and no two rows share a full key, so the
+    order is the one Python's sort gives the entries.  Distances are
+    finite here, so they sort as they compare.
     """
-    source_phrases, source = _used(source_phrases, source)
-    target_phrases, target = _used(target_phrases, target)
+    source_labels, source = _used(source_labels, source)
+    target_labels, target = _used(target_labels, target)
     reductions, reduction = _used(reductions, reduction)
     order = np.lexsort((
         _ranks([r.sorted_cups for r in reductions])[reduction],
-        _ranks([p.sense_choice for p in target_phrases])[target],
-        _ranks([p.sense_choice for p in source_phrases])[source],
-        _ranks([p.words for p in target_phrases])[target],
-        _ranks([p.words for p in source_phrases])[source],
+        _ranks([senses for _, senses in target_labels])[target],
+        _ranks([senses for _, senses in source_labels])[source],
+        _ranks([words for words, _ in target_labels])[target],
+        _ranks([words for words, _ in source_labels])[source],
         distance,
     ))
     return DictionaryTable(
-        source_phrases, target_phrases, reductions,
+        tuple(Phrase(words, senses) for words, senses in source_labels),
+        tuple(Phrase(words, senses) for words, senses in target_labels),
+        tuple(reductions),
         source[order], target[order], reduction[order], distance[order],
     )
 
 
-def _used(items: list, column: np.ndarray) -> tuple[tuple, np.ndarray]:
-    """The items a column points at, and the column re-pointed into them."""
-    used, column = np.unique(column, return_inverse=True)
-    return tuple(items[i] for i in used.tolist()), column
+def _used(items: list, column: np.ndarray) -> tuple[list, np.ndarray]:
+    """The items a column points at, in index order, and the column re-pointed into them."""
+    used = np.flatnonzero(np.bincount(column, minlength=len(items)))
+    position = np.empty(len(items), dtype=np.intp)
+    position[used] = np.arange(len(used))
+    return [items[i] for i in used.tolist()], position[column]
 
 
 def _ranks(keys: list) -> np.ndarray:

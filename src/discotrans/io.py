@@ -267,26 +267,42 @@ def dictionary_from_doc(doc) -> list[DictionaryEntry]:
     return entries
 
 
-def _row(source: str, target: str, reduction: str, distance: float) -> str:
-    return f"{source}\t{target}\t{reduction}\t{format_number(distance)}"
+def _render_rows(sources: list, targets: list, reductions: list, distances: list) -> str:
+    """Tab-separated rows from four text and number columns, in one formatting call.
+
+    ``%.12g`` prints a float as ``format_number`` does.
+    """
+    cells = [None] * (4 * len(distances))
+    cells[0::4], cells[1::4], cells[2::4], cells[3::4] = sources, targets, reductions, distances
+    return "\n".join(["%s\t%s\t%s\t%.12g"] * len(distances)) % tuple(cells)
 
 
 def dictionary_to_rows(entries: list[DictionaryEntry]) -> str:
     """Tab-separated rows: phrase, phrase, reduction, distance."""
-    return "\n".join(
-        _row(str(e.source_phrase), str(e.target_phrase), str(e.reduction), e.distance)
-        for e in entries
+    return _render_rows(
+        [str(e.source_phrase) for e in entries],
+        [str(e.target_phrase) for e in entries],
+        [str(e.reduction) for e in entries],
+        [e.distance for e in entries],
     )
 
 
 def table_to_rows(table: DictionaryTable) -> str:
-    """``dictionary_to_rows(table.entries())``, formatted from the columns
-    with each phrase's and each reduction's text made once."""
-    sources = [str(p) for p in table.source_phrases]
-    targets = [str(p) for p in table.target_phrases]
-    reductions = [str(r) for r in table.reductions]
-    return "\n".join(
-        _row(sources[i], targets[j], reductions[r], d) for i, j, r, d in table.rows()
+    """``dictionary_to_rows(table.entries())``, rendered from the columns.
+
+    Each phrase's and each reduction's text is made once, the text
+    columns are gathered by object-array indexing, and all rows are
+    formatted by one C-level call: no Python code runs per row.
+    """
+
+    def texts(items, column: np.ndarray) -> list:
+        return np.array([str(item) for item in items], dtype=object)[column].tolist()
+
+    return _render_rows(
+        texts(table.source_phrases, table.source),
+        texts(table.target_phrases, table.target),
+        texts(table.reductions, table.reduction),
+        table.distance.tolist(),
     )
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from discotrans import dictionary, io
+from discotrans import dictionary, grammar, io
 from discotrans.cli import main
 from discotrans.demo import collapse_number_translation, wardrobe_lexicon
 from discotrans.dictionary import DictionaryQuery, build_dictionary
@@ -53,6 +53,20 @@ def test_parse_rejects_bad_syntax(capsys):
     code, _, err = run(capsys, "parse", "--from", "n^lr", "--to", "s")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("pairs, expected", [(300, 0), (400, 2)])
+def test_parse_of_a_long_type(capsys, pairs, expected):
+    # the chart's recursion deepens with every simple type: 801 of them pass
+    # Python's recursion limit, which is an input error, not a negative result
+    grammar._first_cups.cache_clear()
+    code, out, err = run(capsys, "parse", "--from", "n n^r " * pairs + "s", "--to", "s")
+    assert code == expected
+    assert "Traceback" not in err
+    if expected == 0:
+        assert (out.count("\n"), err) == (1, "")
+    else:
+        assert (out, err) == ("", "error: a type is too long to search for reductions\n")
 
 
 def test_parse_model_constrains_basics(files, tmp_path, capsys):

@@ -205,6 +205,21 @@ def test_non_finite_distance_is_a_numeric_error(threshold):
         build_dictionary(lex, lex, t, query)
 
 
+def test_non_finite_distance_names_the_phrases():
+    # single words stay finite; the two-word phrases' squares overflow
+    model = LanguageModel("m", {"x": 2})
+    lex = Lexicon(model, {
+        word: (PSObject.of(make_tensor(model, parse_type("x"), value)),)
+        for word, value in [("a", [1e100, 0.0]), ("z", [0.0, 0.0])]
+    })
+    query = DictionaryQuery(max_source_len=2, max_target_len=2)
+    with pytest.raises(NonFiniteError) as raised:
+        build_dictionary(lex, lex, identity_translation(model), query)
+    assert str(raised.value) == (
+        "distance from a a to a z by id is inf: the arithmetic overflows float64"
+    )
+
+
 def test_entry_distances_revalidate():
     lex_a, lex_b, t = _mini_pair()
     query = DictionaryQuery(max_source_len=2, max_target_len=2, max_pairs=1_000_000)
@@ -349,6 +364,16 @@ def _random_bucket_pair(seed):
     return lex_a, lex_b, t, query
 
 
+def ones_lexicon(lex):
+    """``lex`` with all-ones tensors and every sense twice."""
+    model = lex.model
+    return Lexicon(model, {
+        w: tuple(PSObject.of(make_tensor(model, o.type, np.ones(space_shape(model, o.type))))
+                 for o in lex.senses(w) for _ in range(2))
+        for w in lex.words
+    })
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_bucketed_build_matches_brute_force(seed):
@@ -367,16 +392,11 @@ def test_distance_ties_are_ordered_by_the_rest_of_the_sort_key(seed):
     # distance depends on the types alone, so most entries tie on it and
     # words, senses and cups decide their order
     lex_a, _, _, query = _random_bucket_pair(seed)
-    model = lex_a.model
-    ones = Lexicon(model, {
-        w: tuple(PSObject.of(make_tensor(model, o.type, np.ones(space_shape(model, o.type))))
-                 for o in lex_a.senses(w) for _ in range(2))
-        for w in lex_a.words
-    })
+    ones = ones_lexicon(lex_a)
     query = dataclasses.replace(
         query, max_source_len=2, threshold=None, target_type_filter=None
     )
-    built = build_dictionary(ones, ones, identity_translation(model), query)
+    built = build_dictionary(ones, ones, identity_translation(ones.model), query)
     assert len({e.distance for e in built}) < len(built)
     assert built == sorted(built, key=DictionaryEntry.sort_key)
 
@@ -386,7 +406,8 @@ def test_bucket_rows_are_the_phrase_tensors(seed):
     lex_a, lex_b, _, _ = _random_bucket_pair(seed)
     for lex in (lex_a, lex_b, _five_word_pair()[0]):
         seen = []
-        for g, phrases, stack in _phrase_buckets(lex, 3):
+        for g, labels, stack in _phrase_buckets(lex, 3):
+            phrases = [Phrase(words, senses) for words, senses in labels]
             assert len(stack) == len(phrases)
             for phrase, row in zip(phrases, stack):
                 obj = lex_phrase(lex, phrase)
@@ -412,6 +433,43 @@ def test_identity_entries_are_the_frobenius_distance_bit_for_bit(seed):
             )
             assert e.distance == expected
         assert validate_entry(lex_a, lex_b, t, e) == e.distance
+
+
+@pytest.mark.parametrize("n_items, column", [
+    (6, [4, 1, 1, 4, 2]),  # items 0 and 5 unused, indices repeat
+    (3, [2, 2, 2]),
+    (4, [0, 1, 2, 3, 3, 0]),
+    (5, []),
+    (0, []),
+])
+def test_used_is_the_unique_remap(n_items, column):
+    items = [f"item{i}" for i in range(n_items)]
+    column = np.array(column, dtype=np.intp)
+    used, remapped = dictionary._used(items, column)
+    expected_used, expected = np.unique(column, return_inverse=True)
+    assert used == [items[i] for i in expected_used.tolist()]
+    assert remapped.dtype == np.intp
+    assert remapped.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("seed", [2, 9, 23])
+def test_build_makes_phrases_only_for_kept_rows(seed, monkeypatch):
+    built = []
+
+    class CountedPhrase(Phrase):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(dictionary, "Phrase", CountedPhrase)
+    lex_a, lex_b, t, _ = _random_bucket_pair(seed)
+    query = DictionaryQuery(
+        max_source_len=3, max_target_len=2, target_type_filter=parse_type("s"), threshold=8.0
+    )
+    table = dictionary.build_dictionary_table(lex_a, lex_b, t, query)
+    assert len(table) > 0
+    assert len(built) == len(table.source_phrases) + len(table.target_phrases)
+    assert len(table.source_phrases) < len(list(phrases_with_senses(lex_a, 3)))
 
 
 def test_pushed_pairs_stay_zero_when_buckets_differ_in_size():

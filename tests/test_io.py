@@ -1,12 +1,25 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discotrans import io
-from discotrans.dictionary import DictionaryQuery, build_dictionary
+from discotrans.dictionary import (
+    DictionaryQuery,
+    DictionaryTable,
+    build_dictionary,
+    build_dictionary_table,
+)
 from discotrans.errors import FormatError
-from discotrans.translation import translate_lexicon
+from discotrans.grammar import Reduction, parse_type
+from discotrans.lexicon import Lexicon, Phrase
+from discotrans.product_space import PSObject
+from discotrans.semantics import LanguageModel, make_tensor
+from discotrans.translation import identity_translation, translate_lexicon
+from test_dictionary import _random_bucket_pair, ones_lexicon
 
 
 def test_model_round_trip(aware_model, tmp_path):
@@ -86,6 +99,63 @@ def test_dictionary_rows_are_tab_separated(collapse, wardrobe):
     assert len(first) == 4
     assert first[2] == "id"
     assert float(first[3]) == 0.0
+
+
+def _rows_one_by_one(entries):
+    """The rows as one f-string per entry, with ``format_number``'s digits."""
+    return "\n".join(
+        f"{e.source_phrase}\t{e.target_phrase}\t{e.reduction}\t{io.format_number(e.distance)}"
+        for e in entries
+    )
+
+
+def _same_rows(table):
+    rows = io.table_to_rows(table)
+    assert rows == io.dictionary_to_rows(table.entries())
+    assert rows == _rows_one_by_one(table.entries())
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_table_rows_are_the_entry_rows(seed):
+    lex_a, lex_b, t, query = _random_bucket_pair(seed)
+    _same_rows(build_dictionary_table(lex_a, lex_b, t, query))
+
+
+def test_rows_of_an_empty_and_a_one_row_table():
+    none = np.empty(0, dtype=np.intp)
+    assert _same_rows(DictionaryTable((), (), (), none, none, none, np.empty(0))) == ""
+    zero = np.zeros(1, dtype=np.intp)
+    table = DictionaryTable(
+        (Phrase(("dog", "runs"), (0, 1)),), (Phrase(("perro",), (2,)),),
+        (Reduction.from_cups(parse_type("x x^r s"), [(0, 1)]),),
+        zero, zero, zero, np.array([0.25]),
+    )
+    assert _same_rows(table) == "dog runs\tperro\t(0,1)\t0.25"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rows_with_many_distance_ties(seed):
+    lex_a, _, _, query = _random_bucket_pair(seed)
+    ones = ones_lexicon(lex_a)
+    query = dataclasses.replace(
+        query, max_source_len=2, threshold=None, target_type_filter=None
+    )
+    table = build_dictionary_table(ones, ones, identity_translation(ones.model), query)
+    assert len(set(table.distance.tolist())) < len(table) / 2
+    _same_rows(table)
+
+
+def test_rows_with_distances_in_exponent_form():
+    model = LanguageModel("m", {"x": 1})
+    lex = Lexicon(model, {
+        word: (PSObject.of(make_tensor(model, parse_type("x"), [value])),)
+        for word, value in [("zero", 0.0), ("tiny", 1e-13), ("huge", 1e20)]
+    })
+    table = build_dictionary_table(lex, lex, identity_translation(model), DictionaryQuery())
+    rows = _same_rows(table)
+    assert {row.rsplit("\t", 1)[1] for row in rows.splitlines()} == {"0", "1e-13", "1e+20"}
 
 
 def test_numbers_are_rounded_to_twelve_significant_digits():
