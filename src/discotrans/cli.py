@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import io
-from .dictionary import DictionaryQuery, build_dictionary_table
+from .dictionary import DictionaryQuery, build_dictionary
 from .errors import (
     DiscotransError,
     ModelMismatchError,
@@ -173,11 +173,11 @@ def cmd_dict(args) -> int:
         threshold=args.k,
         max_pairs=args.max_pairs,
     )
-    table = build_dictionary_table(lex_a, lex_b, t, query)
+    table = build_dictionary(lex_a, lex_b, t, query)
     if args.json:
-        _print_doc(io.dictionary_to_doc(table.entries()))
+        _print_doc(io.dictionary_to_doc(table))
     elif len(table):
-        print(io.table_to_rows(table))
+        print(io.dictionary_to_rows(table))
     return EXIT_OK if len(table) else EXIT_NEGATIVE
 
 

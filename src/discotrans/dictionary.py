@@ -16,13 +16,14 @@ reduction, distance) and ordered by one ``np.lexsort``.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BudgetExceededError, ModelMismatchError, NonFiniteError
 from .grammar import PregroupType, Reduction, reduce_search
-from .lexicon import Lexicon, Phrase, lex_phrase
+from .lexicon import Lexicon, Phrase
 from .semantics import _contract
 from .translation import Translation, translate_object
 
@@ -61,12 +62,14 @@ class DictionaryEntry:
 
 @dataclass(frozen=True, eq=False)
 class DictionaryTable:
-    """A dictionary as four columns, sorted by ``DictionaryEntry.sort_key``.
+    """The dictionary ``build_dictionary`` returns: four columns, sorted by
+    ``DictionaryEntry.sort_key``.
 
     Row ``k`` pairs ``source_phrases[source[k]]`` with
     ``target_phrases[target[k]]`` by ``reductions[reduction[k]]`` at
     ``distance[k]``.  The phrase and reduction tuples hold only what some
-    row points at.
+    row points at.  Iterating yields the rows as ``DictionaryEntry``
+    records; ``io`` writes rows and documents from the columns instead.
     """
 
     source_phrases: tuple[Phrase, ...]
@@ -80,16 +83,11 @@ class DictionaryTable:
     def __len__(self) -> int:
         return len(self.distance)
 
-    def rows(self):
-        """(source index, target index, reduction index, distance) per row, as Python numbers."""
-        columns = (self.source, self.target, self.reduction, self.distance)
-        return zip(*(column.tolist() for column in columns))
-
-    def entries(self) -> list[DictionaryEntry]:
+    def __iter__(self) -> Iterator[DictionaryEntry]:
         sources, targets, reductions = self.source_phrases, self.target_phrases, self.reductions
-        return [
-            DictionaryEntry(sources[i], targets[j], reductions[r], d) for i, j, r, d in self.rows()
-        ]
+        columns = (self.source, self.target, self.reduction, self.distance)
+        for i, j, r, d in zip(*(column.tolist() for column in columns)):
+            yield DictionaryEntry(sources[i], targets[j], reductions[r], d)
 
 
 @dataclass(frozen=True)
@@ -208,19 +206,8 @@ def _image_lexicon(t: Translation, lex: Lexicon, words) -> Lexicon:
 
 def build_dictionary(
     lexA: Lexicon, lexB: Lexicon, t: Translation, q: DictionaryQuery
-) -> list[DictionaryEntry]:
-    """Enumerate entry triples over the two vocabularies.
-
-    The entries of ``build_dictionary_table``, in ``DictionaryEntry.sort_key``
-    order.
-    """
-    return build_dictionary_table(lexA, lexB, t, q).entries()
-
-
-def build_dictionary_table(
-    lexA: Lexicon, lexB: Lexicon, t: Translation, q: DictionaryQuery
 ) -> DictionaryTable:
-    """Enumerate entry triples over the two vocabularies, as sorted columns.
+    """Enumerate entry triples over the two vocabularies, as a sorted table.
 
     Without a filter type, each target phrase is taken at its own type;
     with one, both sides are first brought onto the filter type and the
@@ -353,26 +340,9 @@ def _ranks(keys: list) -> np.ndarray:
     return np.array([position[key] for key in keys], dtype=np.intp)
 
 
-def threshold_relation(entries: list[DictionaryEntry], k: float) -> list[DictionaryEntry]:
+def threshold_relation(entries: Iterable[DictionaryEntry], k: float) -> list[DictionaryEntry]:
     """Keep entries at distance <= k, preserving order."""
     if k < 0 or math.isnan(k):
         raise ValueError("threshold must be non-negative")
     return [e for e in entries if e.distance <= k]
 
-
-def validate_entry(
-    lexA: Lexicon, lexB: Lexicon, t: Translation, entry: DictionaryEntry
-) -> float:
-    """Recompute an entry's distance from the per-word lexicon data, by
-    the build's own contraction and distance arithmetic."""
-    source_words = set(entry.source_phrase.words)
-    image = lex_phrase(_image_lexicon(t, lexA, source_words), entry.source_phrase)
-    target = lex_phrase(lexB, entry.target_phrase)
-    target_row = target.meaning.array.reshape(1, -1)
-    if entry.reduction.target != target.type:
-        onto = reduce_search(target.type, entry.reduction.target, max_results=1)
-        if not onto:
-            raise ModelMismatchError("entry's reduction target is unreachable from the target phrase")
-        target_row = _reduced_rows(onto[0], target.meaning.array[None])
-    source_row = _reduced_rows(entry.reduction, image.meaning.array[None])
-    return float(_distances(source_row, target_row)[0, 0])

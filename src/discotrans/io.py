@@ -10,6 +10,7 @@ containing file.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -222,27 +223,56 @@ def _phrase_to_doc(p: Phrase) -> dict:
     return doc
 
 
+def _reduction_to_doc(r: Reduction) -> dict:
+    return {
+        "source": str(r.source),
+        "target": str(r.target),
+        "cups": [list(c) for c in r.sorted_cups],
+    }
+
+
+def _is_int_list(value, length: int | None = None) -> bool:
+    """Whether ``value`` is a JSON array of integers (booleans excluded)."""
+    return (
+        isinstance(value, list)
+        and (length is None or len(value) == length)
+        and all(isinstance(v, int) and not isinstance(v, bool) for v in value)
+    )
+
+
 def _phrase_from_doc(doc) -> Phrase:
-    words = tuple(_require(doc, "words", "phrase"))
-    senses = tuple(doc["senses"]) if "senses" in doc else None
-    return Phrase(words, senses)
+    words = _require(doc, "words", "phrase", list)
+    if not words or not all(isinstance(w, str) for w in words):
+        raise FormatError("phrase 'words' must be a non-empty array of strings")
+    if "senses" not in doc:
+        return Phrase(tuple(words))
+    if not _is_int_list(doc["senses"]):
+        raise FormatError("phrase 'senses' must be an array of integers")
+    return Phrase(tuple(words), tuple(doc["senses"]))
 
 
-def dictionary_to_doc(entries: list[DictionaryEntry]) -> dict:
+def _gather(items: list, column: np.ndarray) -> list:
+    """``[items[i] for i in column]``, by one object-array indexing."""
+    return np.array(items, dtype=object)[column].tolist()
+
+
+def dictionary_to_doc(table: DictionaryTable) -> dict:
+    """The structured document of a dictionary, one record per row.
+
+    Each phrase's and each reduction's document is made once and shared
+    by every record that points at it.
+    """
+    records = zip(
+        _gather([_phrase_to_doc(p) for p in table.source_phrases], table.source),
+        _gather([_phrase_to_doc(p) for p in table.target_phrases], table.target),
+        _gather([_reduction_to_doc(r) for r in table.reductions], table.reduction),
+        map(round_sig, table.distance.tolist()),
+    )
     return {
         "format": FORMAT_VERSION,
         "entries": [
-            {
-                "source": _phrase_to_doc(e.source_phrase),
-                "target": _phrase_to_doc(e.target_phrase),
-                "reduction": {
-                    "source": str(e.reduction.source),
-                    "target": str(e.reduction.target),
-                    "cups": [list(c) for c in e.reduction.sorted_cups],
-                },
-                "distance": round_sig(e.distance),
-            }
-            for e in entries
+            {"source": source, "target": target, "reduction": reduction, "distance": distance}
+            for source, target, reduction, distance in records
         ],
     }
 
@@ -252,58 +282,44 @@ def dictionary_from_doc(doc) -> list[DictionaryEntry]:
     entries = []
     for record in _require(doc, "entries", "dictionary", list):
         red_doc = _require(record, "reduction", "dictionary entry")
-        reduction = Reduction.from_cups(
-            parse_type(str(_require(red_doc, "source", "reduction"))),
-            [tuple(c) for c in _require(red_doc, "cups", "reduction")],
-        )
+        cups = _require(red_doc, "cups", "reduction", list)
+        if not all(_is_int_list(c, 2) for c in cups):
+            raise FormatError("reduction 'cups' must be an array of [int, int] pairs")
+        distance = _require(record, "distance", "dictionary entry")
+        if not (
+            isinstance(distance, (int, float))
+            and not isinstance(distance, bool)
+            and math.isfinite(distance)
+        ):
+            raise FormatError("dictionary entry 'distance' must be a finite number")
         entries.append(
             DictionaryEntry(
                 _phrase_from_doc(_require(record, "source", "dictionary entry")),
                 _phrase_from_doc(_require(record, "target", "dictionary entry")),
-                reduction,
-                float(_require(record, "distance", "dictionary entry")),
+                Reduction.from_cups(
+                    parse_type(str(_require(red_doc, "source", "reduction"))),
+                    [tuple(c) for c in cups],
+                ),
+                float(distance),
             )
         )
     return entries
 
 
-def _render_rows(sources: list, targets: list, reductions: list, distances: list) -> str:
-    """Tab-separated rows from four text and number columns, in one formatting call.
-
-    ``%.12g`` prints a float as ``format_number`` does.
-    """
-    cells = [None] * (4 * len(distances))
-    cells[0::4], cells[1::4], cells[2::4], cells[3::4] = sources, targets, reductions, distances
-    return "\n".join(["%s\t%s\t%s\t%.12g"] * len(distances)) % tuple(cells)
-
-
-def dictionary_to_rows(entries: list[DictionaryEntry]) -> str:
-    """Tab-separated rows: phrase, phrase, reduction, distance."""
-    return _render_rows(
-        [str(e.source_phrase) for e in entries],
-        [str(e.target_phrase) for e in entries],
-        [str(e.reduction) for e in entries],
-        [e.distance for e in entries],
-    )
-
-
-def table_to_rows(table: DictionaryTable) -> str:
-    """``dictionary_to_rows(table.entries())``, rendered from the columns.
+def dictionary_to_rows(table: DictionaryTable) -> str:
+    """Tab-separated rows: phrase, phrase, reduction, distance.
 
     Each phrase's and each reduction's text is made once, the text
     columns are gathered by object-array indexing, and all rows are
-    formatted by one C-level call: no Python code runs per row.
+    formatted by one C-level call, in which ``%.12g`` prints a float as
+    ``format_number`` does: no Python code runs per row.
     """
-
-    def texts(items, column: np.ndarray) -> list:
-        return np.array([str(item) for item in items], dtype=object)[column].tolist()
-
-    return _render_rows(
-        texts(table.source_phrases, table.source),
-        texts(table.target_phrases, table.target),
-        texts(table.reductions, table.reduction),
-        table.distance.tolist(),
-    )
+    cells = [None] * (4 * len(table))
+    cells[0::4] = _gather([str(p) for p in table.source_phrases], table.source)
+    cells[1::4] = _gather([str(p) for p in table.target_phrases], table.target)
+    cells[2::4] = _gather([str(r) for r in table.reductions], table.reduction)
+    cells[3::4] = table.distance.tolist()
+    return "\n".join(["%s\t%s\t%s\t%.12g"] * len(table)) % tuple(cells)
 
 
 # -- path-level helpers -------------------------------------------------------

@@ -12,8 +12,9 @@ from itertools import product
 
 import numpy as np
 
-from discotrans.dictionary import DictionaryEntry
-from discotrans.grammar import PregroupType, Reduction
+from discotrans.dictionary import DictionaryEntry, _distances, _image_lexicon, _reduced_rows
+from discotrans.errors import ModelMismatchError
+from discotrans.grammar import PregroupType, Reduction, reduce_search
 from discotrans.lexicon import Lexicon, Phrase, lex_phrase
 from discotrans.semantics import LanguageModel, _contract, space_shape
 from discotrans.translation import (
@@ -212,3 +213,19 @@ def dictionary_by_brute_force(lex_a, lex_b, t, q) -> list[DictionaryEntry]:
                 entries.append(DictionaryEntry(sp, tp, r, d))
     entries.sort(key=DictionaryEntry.sort_key)
     return entries
+
+
+def validate_entry(lex_a, lex_b, t, entry: DictionaryEntry) -> float:
+    """Recompute an entry's distance from the per-word lexicon data, by
+    the build's own contraction and distance arithmetic."""
+    source_words = set(entry.source_phrase.words)
+    image = lex_phrase(_image_lexicon(t, lex_a, source_words), entry.source_phrase)
+    target = lex_phrase(lex_b, entry.target_phrase)
+    target_row = target.meaning.array.reshape(1, -1)
+    if entry.reduction.target != target.type:
+        onto = reduce_search(target.type, entry.reduction.target, max_results=1)
+        if not onto:
+            raise ModelMismatchError("entry's reduction target is unreachable from the target phrase")
+        target_row = _reduced_rows(onto[0], target.meaning.array[None])
+    source_row = _reduced_rows(entry.reduction, image.meaning.array[None])
+    return float(_distances(source_row, target_row)[0, 0])

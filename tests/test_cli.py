@@ -375,7 +375,7 @@ def _random_dict(tmp_path, seed):
     return argv, query
 
 
-def _library_entries(argv, query):
+def _library_table(argv, query):
     """What ``build_dictionary`` gives on the files a ``dict`` command reads."""
     files = dict(zip(argv[1::2], argv[2::2]))
     lex_a, lex_b = io.load_lexicon(files["--lex-a"]), io.load_lexicon(files["--lex-b"])
@@ -392,18 +392,18 @@ def dict_case(request, files, tmp_path):
 
 def test_dict_rows_are_the_library_rows(dict_case, capsys):
     argv, query = dict_case
-    entries = _library_entries(argv, query)
-    assert len({e.source_phrase.words for e in entries}) > 1
+    table = _library_table(argv, query)
+    assert len({e.source_phrase.words for e in table}) > 1
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
-    assert out == io.dictionary_to_rows(entries) + "\n"
+    assert out == io.dictionary_to_rows(table) + "\n"
 
 
 def test_dict_json_is_the_library_document(dict_case, capsys):
     argv, query = dict_case
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 0
-    assert json.loads(out) == io.dictionary_to_doc(_library_entries(argv, query))
+    assert json.loads(out) == io.dictionary_to_doc(_library_table(argv, query))
 
 
 def test_dict_rows_build_no_entry_objects(files, capsys, monkeypatch):
@@ -419,9 +419,12 @@ def test_dict_rows_build_no_entry_objects(files, capsys, monkeypatch):
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out
     assert built == []
-    # the counter does see the entries that --json needs
     code, out, _ = run(capsys, *argv, "--json")
-    assert len(built) == len(json.loads(out)["entries"]) > 0
+    assert code == 0 and json.loads(out)["entries"]
+    assert built == []
+    # the counter does see the entries that iterating the table makes
+    entries = list(_library_table(*_demo_dict(files)))
+    assert len(built) == len(entries) > 0
 
 
 @pytest.mark.parametrize("extra", [[], ["--json"], ["--k", "1"]], ids=["rows", "json", "k1"])
@@ -562,7 +565,7 @@ def test_out_of_memory_is_input_error(files, capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 8.00 GiB")
 
-    monkeypatch.setattr("discotrans.cli.build_dictionary_table", exhausted)
+    monkeypatch.setattr("discotrans.cli.build_dictionary", exhausted)
     code, out, err = run(
         capsys,
         "dict", "--lex-a", str(files / "aware.lex.json"),

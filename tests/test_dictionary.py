@@ -15,7 +15,6 @@ from discotrans.dictionary import (
     _phrase_buckets,
     build_dictionary,
     threshold_relation,
-    validate_entry,
 )
 from discotrans.errors import BudgetExceededError, ModelMismatchError, NonFiniteError
 from discotrans.grammar import PregroupType, Reduction, parse_type
@@ -28,7 +27,12 @@ from discotrans.translation import (
     translate_lexicon,
     translate_object,
 )
-from oracles import dictionary_by_brute_force, image_lexicon, phrases_with_senses
+from oracles import (
+    dictionary_by_brute_force,
+    image_lexicon,
+    phrases_with_senses,
+    validate_entry,
+)
 from test_acceptance import _five_word_pair
 
 
@@ -179,8 +183,8 @@ def test_matches_brute_force_with_filter_and_threshold():
 def test_entries_are_sorted_and_deterministic():
     lex_a, lex_b, t = _mini_pair()
     query = DictionaryQuery(max_source_len=2, max_target_len=2, max_pairs=1_000_000)
-    once = build_dictionary(lex_a, lex_b, t, query)
-    twice = build_dictionary(lex_a, lex_b, t, query)
+    once = list(build_dictionary(lex_a, lex_b, t, query))
+    twice = list(build_dictionary(lex_a, lex_b, t, query))
     assert once == twice
     keys = [e.sort_key() for e in once]
     assert keys == sorted(keys)
@@ -378,12 +382,12 @@ def ones_lexicon(lex):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_bucketed_build_matches_brute_force(seed):
     lex_a, lex_b, t, query = _random_bucket_pair(seed)
-    built = build_dictionary(lex_a, lex_b, t, query)
+    built = list(build_dictionary(lex_a, lex_b, t, query))
     assert built == sorted(built, key=DictionaryEntry.sort_key)
     _same_entries(built, dictionary_by_brute_force(lex_a, lex_b, t, query))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dictionary, "_BLOCK_ELEMENTS", 1)
-        assert build_dictionary(lex_a, lex_b, t, query) == built
+        assert list(build_dictionary(lex_a, lex_b, t, query)) == built
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -396,7 +400,7 @@ def test_distance_ties_are_ordered_by_the_rest_of_the_sort_key(seed):
     query = dataclasses.replace(
         query, max_source_len=2, threshold=None, target_type_filter=None
     )
-    built = build_dictionary(ones, ones, identity_translation(ones.model), query)
+    built = list(build_dictionary(ones, ones, identity_translation(ones.model), query))
     assert len({e.distance for e in built}) < len(built)
     assert built == sorted(built, key=DictionaryEntry.sort_key)
 
@@ -466,7 +470,7 @@ def test_build_makes_phrases_only_for_kept_rows(seed, monkeypatch):
     query = DictionaryQuery(
         max_source_len=3, max_target_len=2, target_type_filter=parse_type("s"), threshold=8.0
     )
-    table = dictionary.build_dictionary_table(lex_a, lex_b, t, query)
+    table = build_dictionary(lex_a, lex_b, t, query)
     assert len(table) > 0
     assert len(built) == len(table.source_phrases) + len(table.target_phrases)
     assert len(table.source_phrases) < len(list(phrases_with_senses(lex_a, 3)))

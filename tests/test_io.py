@@ -7,12 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discotrans import io
-from discotrans.dictionary import (
-    DictionaryQuery,
-    DictionaryTable,
-    build_dictionary,
-    build_dictionary_table,
-)
+from discotrans.dictionary import DictionaryQuery, DictionaryTable, build_dictionary
 from discotrans.errors import FormatError
 from discotrans.grammar import Reduction, parse_type
 from discotrans.lexicon import Lexicon, Phrase
@@ -79,60 +74,149 @@ def test_pairs_round_trip(tmp_path):
 
 def test_dictionary_doc_round_trip(collapse, wardrobe):
     pushed = translate_lexicon(collapse, wardrobe)
-    entries = build_dictionary(wardrobe, pushed, collapse, DictionaryQuery(threshold=0.0))
-    doc = io.dictionary_to_doc(entries)
+    table = build_dictionary(wardrobe, pushed, collapse, DictionaryQuery(threshold=0.0))
+    doc = io.dictionary_to_doc(table)
     loaded = io.dictionary_from_doc(json.loads(json.dumps(doc)))
-    assert len(loaded) == len(entries)
-    for a, b in zip(loaded, entries):
+    assert len(loaded) == len(table)
+    for a, b in zip(loaded, table):
         assert a.source_phrase == b.source_phrase
         assert a.target_phrase == b.target_phrase
         assert a.reduction == b.reduction
         assert a.distance == pytest.approx(b.distance, abs=1e-9)
 
 
+def _entry_doc():
+    record = {
+        "source": {"words": ["dog"], "senses": [0]},
+        "target": {"words": ["perro"], "senses": [0]},
+        "reduction": {"source": "n", "target": "n", "cups": []},
+        "distance": 0.5,
+    }
+    return {"format": 1, "entries": [record]}
+
+
+def test_well_formed_entry_doc_loads():
+    [entry] = io.dictionary_from_doc(_entry_doc())
+    assert entry.source_phrase == Phrase(("dog",), (0,))
+    assert entry.reduction.is_identity and entry.distance == 0.5
+
+
+@pytest.mark.parametrize(
+    "part, key, value",
+    [
+        ("source", "words", "dog"),
+        ("target", "words", []),
+        ("source", "words", ["dog", 5]),
+        ("source", "senses", "0"),
+        ("target", "senses", [True]),
+        ("target", "senses", None),
+        ("reduction", "cups", [5]),
+        ("reduction", "cups", [[0, 1, 2]]),
+        ("reduction", "cups", [[0, 1.0]]),
+        ("reduction", "cups", "(0,1)"),
+        (None, "distance", "abc"),
+        (None, "distance", True),
+        (None, "distance", None),
+        (None, "distance", float("nan")),
+        (None, "distance", float("inf")),
+    ],
+)
+def test_malformed_entry_docs_rejected(part, key, value):
+    doc = _entry_doc()
+    record = doc["entries"][0]
+    (record if part is None else record[part])[key] = value
+    with pytest.raises(FormatError):
+        io.dictionary_from_doc(doc)
+
+
 def test_dictionary_rows_are_tab_separated(collapse, wardrobe):
     pushed = translate_lexicon(collapse, wardrobe)
-    entries = build_dictionary(wardrobe, pushed, collapse, DictionaryQuery(threshold=0.0))
-    rows = io.dictionary_to_rows(entries).splitlines()
-    assert len(rows) == len(entries)
+    table = build_dictionary(wardrobe, pushed, collapse, DictionaryQuery(threshold=0.0))
+    rows = io.dictionary_to_rows(table).splitlines()
+    assert len(rows) == len(table)
     first = rows[0].split("\t")
     assert len(first) == 4
     assert first[2] == "id"
     assert float(first[3]) == 0.0
 
 
-def _rows_one_by_one(entries):
+def _rows_one_by_one(table):
     """The rows as one f-string per entry, with ``format_number``'s digits."""
     return "\n".join(
         f"{e.source_phrase}\t{e.target_phrase}\t{e.reduction}\t{io.format_number(e.distance)}"
-        for e in entries
+        for e in table
     )
 
 
+def _doc_one_by_one(table):
+    """The document with every record built afresh from its entry."""
+
+    def phrase(p):
+        if p.sense_choice is None:
+            return {"words": list(p.words)}
+        return {"words": list(p.words), "senses": list(p.sense_choice)}
+
+    return {
+        "format": 1,
+        "entries": [
+            {
+                "source": phrase(e.source_phrase),
+                "target": phrase(e.target_phrase),
+                "reduction": {
+                    "source": str(e.reduction.source),
+                    "target": str(e.reduction.target),
+                    "cups": [list(c) for c in e.reduction.sorted_cups],
+                },
+                "distance": io.round_sig(e.distance),
+            }
+            for e in table
+        ],
+    }
+
+
 def _same_rows(table):
-    rows = io.table_to_rows(table)
-    assert rows == io.dictionary_to_rows(table.entries())
-    assert rows == _rows_one_by_one(table.entries())
+    rows = io.dictionary_to_rows(table)
+    assert rows == _rows_one_by_one(table)
     return rows
+
+
+def _same_doc(table):
+    # compared as printed, so the key order counts too
+    got, expected = io.dictionary_to_doc(table), _doc_one_by_one(table)
+    assert json.dumps(got, indent=2) == json.dumps(expected, indent=2)
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_table_rows_are_the_entry_rows(seed):
     lex_a, lex_b, t, query = _random_bucket_pair(seed)
-    _same_rows(build_dictionary_table(lex_a, lex_b, t, query))
+    table = build_dictionary(lex_a, lex_b, t, query)
+    _same_rows(table)
+    _same_doc(table)
+
+
+def _one_row_table():
+    zero = np.zeros(1, dtype=np.intp)
+    return DictionaryTable(
+        (Phrase(("dog", "runs"), (0, 1)),), (Phrase(("perro",), (2,)),),
+        (Reduction.from_cups(parse_type("x x^r s"), [(0, 1)]),),
+        zero, zero, zero, np.array([0.25]),
+    )
 
 
 def test_rows_of_an_empty_and_a_one_row_table():
     none = np.empty(0, dtype=np.intp)
     assert _same_rows(DictionaryTable((), (), (), none, none, none, np.empty(0))) == ""
-    zero = np.zeros(1, dtype=np.intp)
-    table = DictionaryTable(
-        (Phrase(("dog", "runs"), (0, 1)),), (Phrase(("perro",), (2,)),),
-        (Reduction.from_cups(parse_type("x x^r s"), [(0, 1)]),),
-        zero, zero, zero, np.array([0.25]),
-    )
-    assert _same_rows(table) == "dog runs\tperro\t(0,1)\t0.25"
+    assert _same_rows(_one_row_table()) == "dog runs\tperro\t(0,1)\t0.25"
+
+
+def test_docs_of_an_empty_and_a_one_row_table():
+    none = np.empty(0, dtype=np.intp)
+    _same_doc(DictionaryTable((), (), (), none, none, none, np.empty(0)))
+    _same_doc(_one_row_table())
+    [record] = io.dictionary_to_doc(_one_row_table())["entries"]
+    assert record["source"] == {"words": ["dog", "runs"], "senses": [0, 1]}
+    assert record["reduction"] == {"source": "x x^r s", "target": "s", "cups": [[0, 1]]}
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -142,7 +226,7 @@ def test_rows_with_many_distance_ties(seed):
     query = dataclasses.replace(
         query, max_source_len=2, threshold=None, target_type_filter=None
     )
-    table = build_dictionary_table(ones, ones, identity_translation(ones.model), query)
+    table = build_dictionary(ones, ones, identity_translation(ones.model), query)
     assert len(set(table.distance.tolist())) < len(table) / 2
     _same_rows(table)
 
@@ -153,7 +237,7 @@ def test_rows_with_distances_in_exponent_form():
         word: (PSObject.of(make_tensor(model, parse_type("x"), [value])),)
         for word, value in [("zero", 0.0), ("tiny", 1e-13), ("huge", 1e20)]
     })
-    table = build_dictionary_table(lex, lex, identity_translation(model), DictionaryQuery())
+    table = build_dictionary(lex, lex, identity_translation(model), DictionaryQuery())
     rows = _same_rows(table)
     assert {row.rsplit("\t", 1)[1] for row in rows.splitlines()} == {"0", "1e-13", "1e+20"}
 
