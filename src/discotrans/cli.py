@@ -1,18 +1,20 @@
 """Command-line front end.
 
 Subcommands: parse, meaning, translate, check, procrustes, fit, dict.
-Exit codes: 0 success, 1 negative result (no reduction, failed check,
-empty dictionary), 2 input error (an input too large for memory and a
-type too long to search for reductions included), 3 numeric failure (a
-dictionary distance that overflows float64 included).  Structured output
-goes to stdout as JSON documents that the loaders can read back; numbers
-are printed with 12 significant digits.
+Exit codes: 0 success (a reader that closes stdout early included), 1
+negative result (no reduction, failed check, empty dictionary), 2 input
+error (an input too large for memory and a type too long to search for
+reductions included), 3 numeric failure (a dictionary distance that
+overflows float64 included).  Structured output goes to stdout as JSON
+documents that the loaders can read back; numbers are printed with 12
+significant digits.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -175,7 +177,7 @@ def cmd_dict(args) -> int:
     )
     table = build_dictionary(lex_a, lex_b, t, query)
     if args.json:
-        _print_doc(io.dictionary_to_doc(table))
+        print(io.dictionary_to_json(table))
     elif len(table):
         print(io.dictionary_to_rows(table))
     return EXIT_OK if len(table) else EXIT_NEGATIVE
@@ -254,7 +256,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early, as ``| head`` does: not an error.
+        # Point stdout at the null device so the flush at exit cannot raise.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except NoReductionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE

@@ -6,9 +6,13 @@ resulting Euclidean distance.  Thresholding keeps only pairs whose
 meanings are close enough.
 
 Phrases are handled in type buckets: all phrases of one type sit in one
-tensor stack, each (source bucket, target bucket) pair is searched for
-reductions once, and each reduction contracts the whole source stack
-once before its distances are computed a block of rows at a time.  The
+tensor stack.  The build is planned on types first.  Source and target
+bucket types are joined on their free-group image, which every
+reduction keeps, and only joined pairs are searched for reductions.  A
+stack is grown only for a bucket that some reduction leaves or lands on.
+Each reduction contracts its whole source stack once, and each target
+bucket's distances are computed a block of reduced rows at a time, the
+rows drawn from every (source bucket, reduction) that lands on it.  The
 kept pairs are collected as columns (source phrase, target phrase,
 reduction, distance) and ordered by one ``np.lexsort``.
 """
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, ModelMismatchError, NonFiniteError
-from .grammar import PregroupType, Reduction, reduce_search
+from .grammar import PregroupType, Reduction, free_group_image, reduce_search
 from .lexicon import Lexicon, Phrase
 from .semantics import _contract
 from .translation import Translation, translate_object
@@ -110,47 +114,69 @@ def _candidate_count(lex: Lexicon, max_len: int) -> int:
     return sum(per_position**length for length in range(1, max_len + 1))
 
 
-def _phrase_buckets(
-    lex: Lexicon, max_len: int
-) -> list[tuple[PregroupType, list[tuple[tuple[str, ...], tuple[int, ...]]], np.ndarray]]:
-    """Every phrase-with-senses up to the length cap, grouped by type.
+class _PhraseBuckets:
+    """Every phrase-with-senses of a lexicon up to a length cap, grouped by type.
 
-    Each bucket is (type, labels, stack) with one phrase tensor per row
-    of the stack.  A label is the phrase's (words, senses) pair of
-    tuples, the fields of its ``Phrase``; no ``Phrase`` is made here, so
-    the build pays for one only where a kept row needs it.  Phrases grow
-    one word at a time on the right by the outer products ``lex_phrase``
-    takes, so every row is bitwise equal to its phrase's ``lex_phrase``
-    tensor.  Word sequences whose types concatenate to the same type
-    share a bucket.
+    ``plan`` is made before any array: it maps each bucket's type to the
+    word-type sequences that spell it, each a tuple of indices into the
+    lexicon's distinct word types, in the order their phrases sit in the
+    bucket.  Word sequences whose types concatenate to the same type share
+    a bucket.
+
+    ``bucket(g)`` builds a bucket's stack, one phrase tensor per row, on
+    first use.  A sequence's phrases grow one word at a time on the right
+    by the outer products ``lex_phrase`` takes, so every row is bitwise
+    equal to its phrase's ``lex_phrase`` tensor; prefix stacks are kept
+    for the longer sequences that share them.  The phrases of built
+    buckets are numbered in the order the buckets were first used, and
+    ``labels`` lists them as (words, senses) pairs of tuples, the fields of
+    their ``Phrase``; no ``Phrase`` is made here, so the build pays for one
+    only where a kept row needs it.
     """
-    by_type: dict[PregroupType, tuple[list, list]] = {}
-    for word in lex.words:
-        for sense, obj in enumerate(lex.senses(word)):
-            labels, arrays = by_type.setdefault(obj.type, ([], []))
-            labels.append(((word,), (sense,)))
-            arrays.append(obj.meaning.array)
-    word_stacks = [(g, labels, np.stack(arrays)) for g, (labels, arrays) in by_type.items()]
-    buckets: dict[PregroupType, list] = {}
-    level = word_stacks
-    for length in range(1, max_len + 1):
-        if length > 1:
-            level = [
-                (g @ h, [(pw + w, ps + s) for pw, ps in prefixes for w, s in labels],
-                 _grow(stack, word_stack))
-                for g, prefixes, stack in level
-                for h, labels, word_stack in word_stacks
-            ]
-        for g, labels, stack in level:
-            buckets.setdefault(g, []).append((labels, stack))
-    return [
-        (
-            g,
-            [label for labels, _ in parts for label in labels],
-            parts[0][1] if len(parts) == 1 else np.concatenate([stack for _, stack in parts]),
-        )
-        for g, parts in buckets.items()
-    ]
+
+    def __init__(self, lex: Lexicon, max_len: int) -> None:
+        by_type: dict[PregroupType, tuple[list, list]] = {}
+        for word in lex.words:
+            for sense, obj in enumerate(lex.senses(word)):
+                labels, arrays = by_type.setdefault(obj.type, ([], []))
+                labels.append(((word,), (sense,)))
+                arrays.append(obj.meaning.array)
+        self._words = list(by_type.values())
+        self.plan: dict[PregroupType, list[tuple[int, ...]]] = {}
+        level = [((i,), g) for i, g in enumerate(by_type)]
+        for length in range(1, max_len + 1):
+            if length > 1:
+                level = [(seq + (i,), g @ h) for seq, g in level for i, h in enumerate(by_type)]
+            for seq, g in level:
+                self.plan.setdefault(g, []).append(seq)
+        self.labels: list[tuple[tuple[str, ...], tuple[int, ...]]] = []
+        self._grown: dict[tuple[int, ...], tuple[list, np.ndarray]] = {}
+        self._built: dict[PregroupType, tuple[int, np.ndarray]] = {}
+
+    def _sequence(self, seq: tuple[int, ...]) -> tuple[list, np.ndarray]:
+        """The labels and stack of one word-type sequence's phrases."""
+        if seq not in self._grown:
+            if len(seq) == 1:
+                labels, arrays = self._words[seq[0]]
+                self._grown[seq] = labels, np.stack(arrays)
+            else:
+                prefix_labels, prefix = self._sequence(seq[:-1])
+                labels, word_stack = self._sequence(seq[-1:])
+                self._grown[seq] = (
+                    [(pw + w, ps + s) for pw, ps in prefix_labels for w, s in labels],
+                    _grow(prefix, word_stack),
+                )
+        return self._grown[seq]
+
+    def bucket(self, g: PregroupType) -> tuple[np.ndarray, np.ndarray]:
+        """The numbers of a bucket's phrases in ``labels``, and its stack."""
+        if g not in self._built:
+            parts = [self._sequence(seq) for seq in self.plan[g]]
+            stack = parts[0][1] if len(parts) == 1 else np.concatenate([s for _, s in parts])
+            self._built[g] = len(self.labels), stack
+            self.labels += [label for labels, _ in parts for label in labels]
+        first, stack = self._built[g]
+        return np.arange(first, first + len(stack)), stack
 
 
 def _grow(prefixes: np.ndarray, words: np.ndarray) -> np.ndarray:
@@ -240,60 +266,111 @@ def build_dictionary(
 def _build_table(
     lexA: Lexicon, lexB: Lexicon, t: Translation, q: DictionaryQuery
 ) -> DictionaryTable:
-    sources = _phrase_buckets(_image_lexicon(t, lexA, lexA.words), q.max_source_len)
-    buckets = _phrase_buckets(lexB, q.max_target_len)
-    if q.target_type_filter is None:
-        targets = [(g, labels, stack.reshape(len(labels), -1)) for g, labels, stack in buckets]
-    else:
-        filtered_labels, filtered_rows = [], []
-        for g, labels, stack in buckets:
-            onto = reduce_search(g, q.target_type_filter, max_results=1)
-            if onto:
-                filtered_labels += labels
-                filtered_rows.append(_reduced_rows(onto[0], stack))
-        targets = []
-        if filtered_rows:
-            targets.append((q.target_type_filter, filtered_labels, np.concatenate(filtered_rows)))
-    limit = math.inf if q.threshold is None else q.threshold
-
-    source_labels = [label for _, labels, _ in sources for label in labels]
-    target_labels = [label for _, labels, _ in targets for label in labels]
+    sources = _PhraseBuckets(_image_lexicon(t, lexA, lexA.words), q.max_source_len)
+    targets = _PhraseBuckets(lexB, q.max_target_len)
+    compared = list(targets.plan) if q.target_type_filter is None else [q.target_type_filter]
+    # a reduction keeps the free-group image and never lengthens a type, so
+    # only the pairs that meet both conditions are searched
+    by_image: dict[tuple, list[PregroupType]] = {}
+    for h in compared:
+        by_image.setdefault(free_group_image(h), []).append(h)
     reductions: list[Reduction] = []
+    arrivals: dict[PregroupType, list[tuple[PregroupType, int]]] = {}
+    for g in sources.plan:
+        for h in by_image.get(free_group_image(g), ()):
+            if len(h) > len(g):
+                continue
+            for r in reduce_search(g, h):
+                arrivals.setdefault(h, []).append((g, len(reductions)))
+                reductions.append(r)
+
+    limit = math.inf if q.threshold is None else q.threshold
     no_rows = np.empty(0, dtype=np.intp)
     # (source, target, reduction, distance) columns per block, after an empty one
     kept = [(no_rows, no_rows, no_rows, np.empty(0))]
-    source_offset = 0
-    for source_type, source_bucket, source_stack in sources:
-        target_offset = 0
-        for target_type, target_bucket, target_rows in targets:
-            for r in reduce_search(source_type, target_type):
-                reductions.append(r)
-                reduced = _reduced_rows(r, source_stack)
-                step = max(1, _BLOCK_ELEMENTS // target_rows.size)
-                for start in range(0, len(reduced), step):
-                    block = _distances(reduced[start : start + step], target_rows)
-                    finite = np.isfinite(block)
-                    if not finite.all():
-                        i, j = np.argwhere(~finite)[0]
-                        raise NonFiniteError(
-                            f"distance from {' '.join(source_bucket[start + i][0])} to "
-                            f"{' '.join(target_bucket[j][0])} by {r} is {block[i, j]}: "
-                            "the arithmetic overflows float64"
-                        )
-                    kept_i, kept_j = np.nonzero(block <= limit)
-                    if len(kept_i):
-                        kept.append((
-                            kept_i + (source_offset + start),
-                            kept_j + target_offset,
-                            np.full(len(kept_i), len(reductions) - 1),
-                            block[kept_i, kept_j],
-                        ))
-            target_offset += len(target_bucket)
-        source_offset += len(source_bucket)
+    for h, landing in arrivals.items():
+        target, target_rows = _target_rows(targets, h, q.target_type_filter)
+        if not len(target):
+            continue
+        step = max(1, _BLOCK_ELEMENTS // target_rows.size)
+        for source, reduction, rows in _reduced_blocks(sources, landing, reductions, step):
+            block = _distances(rows, target_rows)
+            finite = np.isfinite(block)
+            if not finite.all():
+                i, j = np.argwhere(~finite)[0]
+                raise NonFiniteError(
+                    f"distance from {' '.join(sources.labels[source[i]][0])} to "
+                    f"{' '.join(targets.labels[target[j]][0])} by {reductions[reduction[i]]} "
+                    f"is {block[i, j]}: the arithmetic overflows float64"
+                )
+            kept_i, kept_j = np.nonzero(block <= limit)
+            if len(kept_i):
+                kept.append(
+                    (source[kept_i], target[kept_j], reduction[kept_i], block[kept_i, kept_j])
+                )
     source, target, reduction, distance = map(np.concatenate, zip(*kept))
     return _sorted_table(
-        source_labels, target_labels, reductions, source, target, reduction, distance
+        sources.labels, targets.labels, reductions, source, target, reduction, distance
     )
+
+
+def _target_rows(
+    targets: _PhraseBuckets, h: PregroupType, type_filter: PregroupType | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The target phrases compared at type ``h``: their numbers and flattened rows.
+
+    Without a filter that is the bucket of type ``h``; with one, every
+    target bucket that reduces onto the filter, by its first reduction.
+    """
+    if type_filter is None:
+        numbers, stack = targets.bucket(h)
+        return numbers, stack.reshape(len(numbers), -1)
+    numbers, rows = [], []
+    image = free_group_image(h)
+    for g in targets.plan:
+        if free_group_image(g) != image or len(g) < len(h):
+            continue
+        onto = reduce_search(g, h, max_results=1)
+        if onto:
+            bucket, stack = targets.bucket(g)
+            numbers.append(bucket)
+            rows.append(_reduced_rows(onto[0], stack))
+    if not rows:
+        return np.empty(0, dtype=np.intp), np.empty((0, 1))
+    return np.concatenate(numbers), np.concatenate(rows)
+
+
+def _reduced_blocks(
+    sources: _PhraseBuckets, landing: list[tuple[PregroupType, int]], reductions: list, step: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The reduced rows of every (source bucket, reduction number) in ``landing``,
+    regrouped into blocks of ``step`` rows.
+
+    Each block is (source phrase numbers, reduction numbers, rows), one
+    entry per row.  Only the reduced stacks that the current block draws
+    on are held.
+    """
+    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    filled = 0
+    for g, r in landing:
+        numbers, stack = sources.bucket(g)
+        rows = _reduced_rows(reductions[r], stack)
+        reduction = np.full(len(rows), r)
+        start = 0
+        while start < len(rows):
+            stop = min(len(rows), start + step - filled)
+            parts.append((numbers[start:stop], reduction[start:stop], rows[start:stop]))
+            filled += stop - start
+            start = stop
+            if filled == step:
+                yield _joined(parts)
+                parts, filled = [], 0
+    if parts:
+        yield _joined(parts)
+
+
+def _joined(parts: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
 
 def _sorted_table(

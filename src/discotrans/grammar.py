@@ -286,6 +286,30 @@ def reduce_search(
     return results
 
 
+def free_group_image(g: PregroupType) -> tuple[tuple[BasicType, int], ...]:
+    """The image of ``g`` in the free group on the basic types, freely reduced.
+
+    The simple type ``(b, z)`` goes to the generator ``b`` with sign
+    ``(-1)^z``.  A cup ``(b, z) (b, z+1)`` then meets a generator next to
+    its inverse, so a reduction keeps the image, and two types with
+    different images have no reduction between them (Lambek 1999, "Type
+    grammar revisited").
+
+    >>> free_group_image(parse_type("n n^r s n^l"))
+    (('s', 1), ('n', -1))
+    >>> free_group_image(parse_type("n^ll n^l n^r"))
+    (('n', -1),)
+    """
+    image: list[tuple[BasicType, int]] = []
+    for s in g.simples:
+        sign = -1 if s.z % 2 else 1
+        if image and image[-1] == (s.base, -sign):
+            image.pop()
+        else:
+            image.append((s.base, sign))
+    return tuple(image)
+
+
 def compose_reductions(r2: Reduction, r1: Reduction) -> Reduction:
     """Sequential composite r2 after r1; r2's cups relabel through r1's survivors."""
     if r1.target != r2.source:

@@ -309,17 +309,52 @@ def dictionary_from_doc(doc) -> list[DictionaryEntry]:
 def dictionary_to_rows(table: DictionaryTable) -> str:
     """Tab-separated rows: phrase, phrase, reduction, distance.
 
+    ``%.12g`` prints a float as ``format_number`` does.
+    """
+    return _render(table, "%s\t%s\t%s\t%.12g", "\n", str, str, np.ndarray.tolist)
+
+
+def dictionary_to_json(table: DictionaryTable) -> str:
+    """``json.dumps(dictionary_to_doc(table), indent=2)``, written from the columns.
+
+    Each phrase's and reduction's document is encoded once, indented to
+    the depth of a record's fields, so no row passes through ``json``'s
+    indenting encoder, which is pure Python.  ``%r`` prints a float as
+    ``json`` does.
+    """
+    def nested(doc: dict) -> str:
+        return json.dumps(doc, indent=2).replace("\n", "\n      ")
+
+    record = (
+        '    {\n      "source": %s,\n      "target": %s,\n      "reduction": %s,\n'
+        '      "distance": %r\n    }'
+    )
+    records = _render(
+        table, record, ",\n",
+        lambda p: nested(_phrase_to_doc(p)),
+        lambda r: nested(_reduction_to_doc(r)),
+        lambda distance: [round_sig(d) for d in distance.tolist()],
+    )
+    entries = f"[\n{records}\n  ]" if len(table) else "[]"
+    return f'{{\n  "format": {FORMAT_VERSION},\n  "entries": {entries}\n}}'
+
+
+def _render(
+    table: DictionaryTable, record: str, separator: str, phrase_text, reduction_text, distance_cells
+) -> str:
+    """Every row of ``table`` formatted by ``record`` and joined by ``separator``.
+
     Each phrase's and each reduction's text is made once, the text
     columns are gathered by object-array indexing, and all rows are
-    formatted by one C-level call, in which ``%.12g`` prints a float as
-    ``format_number`` does: no Python code runs per row.
+    formatted by one C-level call.  ``distance_cells`` turns the distance
+    column into the list of values ``record`` formats.
     """
     cells = [None] * (4 * len(table))
-    cells[0::4] = _gather([str(p) for p in table.source_phrases], table.source)
-    cells[1::4] = _gather([str(p) for p in table.target_phrases], table.target)
-    cells[2::4] = _gather([str(r) for r in table.reductions], table.reduction)
-    cells[3::4] = table.distance.tolist()
-    return "\n".join(["%s\t%s\t%s\t%.12g"] * len(table)) % tuple(cells)
+    cells[0::4] = _gather([phrase_text(p) for p in table.source_phrases], table.source)
+    cells[1::4] = _gather([phrase_text(p) for p in table.target_phrases], table.target)
+    cells[2::4] = _gather([reduction_text(r) for r in table.reductions], table.reduction)
+    cells[3::4] = distance_cells(table.distance)
+    return separator.join([record] * len(table)) % tuple(cells)
 
 
 # -- path-level helpers -------------------------------------------------------

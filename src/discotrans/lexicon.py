@@ -4,7 +4,9 @@ A word may carry several typed entries (polymorphic words such as a
 transitive verb accepting singular or plural arguments).  Phrase
 meanings default to each word's first sense; when that assignment has
 no reduction to the requested target type, the remaining sense
-combinations are tried in index order.
+combinations are tried in index order.  Senses of one word that share a
+type reduce alike, so only the first sense of each distinct type is
+tried.
 """
 
 from __future__ import annotations
@@ -106,15 +108,29 @@ def _sense_combinations(lex: Lexicon, p: Phrase):
     if p.sense_choice is not None:
         yield _resolve_senses(lex, p)
         return
-    yield from product(*(range(len(lex.senses(w))) for w in p.words))
+    yield from product(*(_first_sense_per_type(lex.senses(w)) for w in p.words))
+
+
+def _first_sense_per_type(senses: tuple[PSObject, ...]) -> list[int]:
+    """The lowest sense index of each distinct type, in index order.
+
+    The first reducing combination in index order uses only these: a
+    sense with a lower-indexed twin of its type could be swapped for the
+    twin, giving an earlier combination of the same type.
+    """
+    first: dict[PregroupType, int] = {}
+    for i, obj in enumerate(senses):
+        first.setdefault(obj.type, i)
+    return list(first.values())
 
 
 def phrase_meaning(lex: Lexicon, p: Phrase, target: PregroupType) -> Tensor:
     """Reduce the phrase's meaning onto the target type.
 
     Sense combinations are tried in index order (all-first-senses
-    first); the first whose combined type reduces to the target wins,
-    and its first reduction is applied.
+    first), one sense per distinct type of each word; the first whose
+    combined type reduces to the target wins, and its first reduction is
+    applied.
     """
     tensor, _, _ = phrase_reduction(lex, p, target)
     return tensor

@@ -13,10 +13,10 @@ from itertools import product
 import numpy as np
 
 from discotrans.dictionary import DictionaryEntry, _distances, _image_lexicon, _reduced_rows
-from discotrans.errors import ModelMismatchError
+from discotrans.errors import ModelMismatchError, NoReductionError
 from discotrans.grammar import PregroupType, Reduction, reduce_search
 from discotrans.lexicon import Lexicon, Phrase, lex_phrase
-from discotrans.semantics import LanguageModel, _contract, space_shape
+from discotrans.semantics import LanguageModel, _contract, apply_reduction, space_shape
 from discotrans.translation import (
     NaturalityReport,
     Translation,
@@ -161,6 +161,21 @@ def phrases_with_senses(lex: Lexicon, max_len: int):
         for words in product(lex.words, repeat=length):
             for senses in product(*(range(len(lex.senses(w))) for w in words)):
                 yield Phrase(tuple(words), tuple(senses))
+
+
+def phrase_reduction_by_product(lex: Lexicon, p: Phrase, target: PregroupType):
+    """``phrase_reduction`` by the definition: every sense combination of the
+    phrase in index order, one search each, until one reduces."""
+    if p.sense_choice is not None:
+        combinations = [p.sense_choice]
+    else:
+        combinations = product(*(range(len(lex.senses(w))) for w in p.words))
+    for choice in combinations:
+        phrase = lex_phrase(lex, Phrase(p.words, choice))
+        found = reduce_search(phrase.type, target, max_results=1)
+        if found:
+            return apply_reduction(lex.model, found[0], phrase.meaning), found[0], tuple(choice)
+    raise NoReductionError(f"no sense assignment of '{p}' reduces to '{target}'")
 
 
 def image_lexicon(t: Translation, lex: Lexicon) -> Lexicon:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import discotrans
 from discotrans import dictionary, grammar, io
 from discotrans.cli import main
 from discotrans.demo import collapse_number_translation, wardrobe_lexicon
@@ -441,6 +446,25 @@ def test_dict_overflow_is_numeric_error(tmp_path, capsys, extra):
     assert code == 3
     assert out == ""
     assert err.startswith("numeric error:") and err.count("\n") == 1
+
+
+def test_closed_stdout_is_not_an_error(files):
+    # the reader takes one line and closes the pipe, as `| head -1` does;
+    # the document (about 1.2 MB) is far larger than a pipe's buffer
+    src = str(Path(discotrans.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "discotrans", "dict",
+         "--lex-a", str(files / "aware.lex.json"), "--lex-b", str(files / "blind.lex.json"),
+         "--translation", str(files / "collapse.json"),
+         "--max-source-len", "3", "--max-target-len", "3", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
 
 
 def test_missing_file_is_input_error(capsys):

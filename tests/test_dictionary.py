@@ -12,12 +12,12 @@ from discotrans import dictionary
 from discotrans.dictionary import (
     DictionaryEntry,
     DictionaryQuery,
-    _phrase_buckets,
+    _PhraseBuckets,
     build_dictionary,
     threshold_relation,
 )
 from discotrans.errors import BudgetExceededError, ModelMismatchError, NonFiniteError
-from discotrans.grammar import PregroupType, Reduction, parse_type
+from discotrans.grammar import PregroupType, Reduction, free_group_image, parse_type, reduce_search
 from discotrans.lexicon import Lexicon, Phrase, lex_phrase
 from discotrans.product_space import PSObject, frobenius_distance
 from discotrans.semantics import LanguageModel, make_tensor, space_shape
@@ -31,6 +31,7 @@ from oracles import (
     dictionary_by_brute_force,
     image_lexicon,
     phrases_with_senses,
+    random_orthogonal,
     validate_entry,
 )
 from test_acceptance import _five_word_pair
@@ -388,6 +389,10 @@ def test_bucketed_build_matches_brute_force(seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dictionary, "_BLOCK_ELEMENTS", 1)
         assert list(build_dictionary(lex_a, lex_b, t, query)) == built
+    with pytest.MonkeyPatch.context() as mp:
+        # every bucket pair joined: the join skips only pairs that cannot reduce
+        mp.setattr(dictionary, "free_group_image", lambda g: ())
+        assert list(build_dictionary(lex_a, lex_b, t, query)) == built
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -409,9 +414,11 @@ def test_distance_ties_are_ordered_by_the_rest_of_the_sort_key(seed):
 def test_bucket_rows_are_the_phrase_tensors(seed):
     lex_a, lex_b, _, _ = _random_bucket_pair(seed)
     for lex in (lex_a, lex_b, _five_word_pair()[0]):
+        buckets = _PhraseBuckets(lex, 3)
         seen = []
-        for g, labels, stack in _phrase_buckets(lex, 3):
-            phrases = [Phrase(words, senses) for words, senses in labels]
+        for g in buckets.plan:
+            numbers, stack = buckets.bucket(g)
+            phrases = [Phrase(*buckets.labels[i]) for i in numbers]
             assert len(stack) == len(phrases)
             for phrase, row in zip(phrases, stack):
                 obj = lex_phrase(lex, phrase)
@@ -516,3 +523,61 @@ def test_wide_bucket_pair_is_built_in_bounded_memory():
     assert all(e.distance == 0.0 and e.source_phrase == e.target_phrase for e in entries)
     assert elapsed < 2.0
     assert peak < 16 * 2**20
+
+
+def test_deep_query_searches_only_joined_pairs(monkeypatch):
+    # four word classes at d=2, source phrases up to three words: of all
+    # source and target bucket pairs, only those with equal free-group
+    # images and a target no longer than the source are searched
+    rng = np.random.default_rng(41)
+    model = LanguageModel("m", {"x": 2, "s": 1})
+    classes = [("n", ["x"]), ("i", ["x^r s"]), ("a", ["x x^l"]), ("v", ["x^r s x^l", "x^r s"])]
+    lex = Lexicon(model, {
+        f"{label}{k}": _random_senses(rng, model, types)
+        for label, types in classes
+        for k in range(2)
+    })
+    t = Translation(model, model, {b: parse_type(b) for b in ("x", "s")},
+                    {"x": random_orthogonal(rng, 2), "s": np.eye(1)})
+    pushed = translate_lexicon(t, lex)
+    query = DictionaryQuery(max_source_len=3, max_target_len=2, threshold=0.5, max_pairs=10**7)
+    calls = []
+
+    def counted(g, h, max_results=None):
+        calls.append((g, h))
+        return reduce_search(g, h, max_results)
+
+    monkeypatch.setattr(dictionary, "reduce_search", counted)
+    table = build_dictionary(lex, pushed, t, query)
+    sources, targets = _PhraseBuckets(lex, 3).plan, _PhraseBuckets(pushed, 2).plan
+    joined = {(g, h) for g in sources for h in targets
+              if free_group_image(g) == free_group_image(h) and len(h) <= len(g)}
+    assert len(calls) == len(set(calls)) == len(joined)
+    assert set(calls) == joined
+    assert len(joined) * 10 < len(sources) * len(targets)
+    assert len(table) > 0
+
+
+def test_source_bucket_without_reduction_is_never_built():
+    # no target type shares an image with a type holding "blob", so the
+    # stack of its three-word phrases (8 rows of 64^3 floats, 16 MiB) and
+    # every other bucket holding it are never grown
+    rng = np.random.default_rng(7)
+    model = LanguageModel("m", {"x": 2, "y": 64})
+    lex_a = Lexicon(model, {
+        "n": _random_senses(rng, model, ["x"]),
+        "blob": _random_senses(rng, model, ["y", "y"]),
+    })
+    lex_b = Lexicon(model, {"m": _random_senses(rng, model, ["x"])})
+    t = identity_translation(model)
+    query = DictionaryQuery(max_source_len=3, max_target_len=3, max_pairs=10**6)
+    tracemalloc.start()
+    try:
+        table = build_dictionary(lex_a, lex_b, t, query)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert {(str(e.source_phrase), str(e.target_phrase)) for e in table} == {
+        ("n", "m"), ("n n", "m m"), ("n n n", "m m m")
+    }
+    assert peak < 2**20

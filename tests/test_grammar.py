@@ -12,6 +12,7 @@ from discotrans.grammar import (
     Reduction,
     SimpleType,
     compose_reductions,
+    free_group_image,
     parse_type,
     reduce_search,
 )
@@ -137,6 +138,16 @@ def test_search_matches_elimination_oracle(source, target_simples):
 @given(words)
 def test_self_search_contains_identity(g):
     assert Reduction.identity(g) in reduce_search(g, g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(words)
+def test_reductions_keep_the_free_group_image(g):
+    # every target the elimination oracle reaches from g, all of which
+    # reduce_search finds, has g's image
+    for r in all_reductions(g):
+        assert reduce_search(g, r.target)
+        assert free_group_image(r.target) == free_group_image(g)
 
 
 @settings(max_examples=100, deadline=None)

@@ -184,6 +184,7 @@ def _same_doc(table):
     # compared as printed, so the key order counts too
     got, expected = io.dictionary_to_doc(table), _doc_one_by_one(table)
     assert json.dumps(got, indent=2) == json.dumps(expected, indent=2)
+    assert io.dictionary_to_json(table) == json.dumps(got, indent=2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -229,6 +230,7 @@ def test_rows_with_many_distance_ties(seed):
     table = build_dictionary(ones, ones, identity_translation(ones.model), query)
     assert len(set(table.distance.tolist())) < len(table) / 2
     _same_rows(table)
+    _same_doc(table)
 
 
 def test_rows_with_distances_in_exponent_form():
@@ -240,6 +242,7 @@ def test_rows_with_distances_in_exponent_form():
     table = build_dictionary(lex, lex, identity_translation(model), DictionaryQuery())
     rows = _same_rows(table)
     assert {row.rsplit("\t", 1)[1] for row in rows.splitlines()} == {"0", "1e-13", "1e+20"}
+    _same_doc(table)
 
 
 def test_numbers_are_rounded_to_twelve_significant_digits():

@@ -16,7 +16,7 @@ from discotrans.lexicon import Lexicon, Phrase, lex_phrase, phrase_meaning, phra
 from discotrans.product_space import PSObject, ps_tensor
 from discotrans.semantics import LanguageModel, _contract, make_tensor, space_shape
 from conftest import random_model, random_word
-from oracles import reduction_matrix, reductions_by_elimination
+from oracles import phrase_reduction_by_product, reduction_matrix, reductions_by_elimination
 
 
 def test_phrase_needs_words():
@@ -190,3 +190,31 @@ def test_phrase_reduction_equals_the_product_definition(seed):
     assert np.all(np.abs(meaning.flat - expected) <= 1e-12 * scale)
     network = _contract(r, *(lex.senses(w)[i].meaning.array for w, i in zip(words, senses)))
     assert np.all(np.abs(network.reshape(-1) - expected) <= 1e-12 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_phrase_reduction_matches_the_product_loop(seed):
+    # senses drawn with repeats from three types, the reducible one among
+    # them or not: one sense per distinct type gives what trying every
+    # combination gives, senses, reduction and value alike
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, max_dim=2)
+    target = random_word(rng, max_len=2)
+    entries = {}
+    for k, g in enumerate(_reducible_word_types(rng, target)):
+        pool = [g, random_word(rng, max_len=3), random_word(rng, max_len=3)]
+        types = [pool[i] for i in rng.integers(len(pool), size=rng.integers(1, 5))]
+        entries[f"w{k}"] = tuple(_random_obj(rng, model, h) for h in types)
+    lex = Lexicon(model, entries)
+    phrase = Phrase(tuple(entries))
+    try:
+        value, reduction, senses = phrase_reduction_by_product(lex, phrase, target)
+    except NoReductionError:
+        with pytest.raises(NoReductionError):
+            phrase_reduction(lex, phrase, target)
+        return
+    got_value, got_reduction, got_senses = phrase_reduction(lex, phrase, target)
+    assert got_senses == senses
+    assert got_reduction == reduction
+    assert np.array_equal(got_value.array, value.array)
