@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .grammar import parse_type, reduce_search
 from .lexicon import Lexicon, Phrase, phrase_meaning
 from .semantics import LanguageModel, normalize_sentence
 from .translation import (
-    Translation,
     check_naturality,
     fit_alpha,
     nearest_unitary,
@@ -46,35 +44,14 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 
-@dataclass
-class Workspace:
-    """Artifacts loaded for one invocation, with cross-references checked.
-
-    Two files mentioning the same model name must agree on its
-    dimensions.
-    """
-
-    models: dict[str, LanguageModel] = field(default_factory=dict)
-
-    def register_model(self, model: LanguageModel) -> LanguageModel:
-        known = self.models.get(model.name)
-        if known is not None and known != model:
+def _same_models(*models: LanguageModel) -> None:
+    """Two files mentioning the same model name must agree on its dimensions."""
+    known: dict[str, LanguageModel] = {}
+    for model in models:
+        if known.setdefault(model.name, model) != model:
             raise ModelMismatchError(
                 f"model {model.name!r} is declared twice with different dimensions"
             )
-        self.models[model.name] = model
-        return model
-
-    def load_lexicon(self, path: str) -> Lexicon:
-        lex = io.load_lexicon(path)
-        self.register_model(lex.model)
-        return lex
-
-    def load_translation(self, path: str) -> Translation:
-        t = io.load_translation(path)
-        self.register_model(t.source_model)
-        self.register_model(t.target_model)
-        return t
 
 
 def _print_doc(doc: dict) -> None:
@@ -114,20 +91,19 @@ def _meaning_of(lex: Lexicon, args) -> int:
 
 
 def cmd_meaning(args) -> int:
-    ws = Workspace()
-    return _meaning_of(ws.load_lexicon(args.lex), args)
+    return _meaning_of(io.load_lexicon(args.lex), args)
 
 
 def cmd_translate(args) -> int:
-    ws = Workspace()
-    lex = ws.load_lexicon(args.lex)
-    t = ws.load_translation(args.translation)
+    lex = io.load_lexicon(args.lex)
+    t = io.load_translation(args.translation)
+    _same_models(lex.model, t.source_model, t.target_model)
     return _meaning_of(translate_lexicon(t, lex), args)
 
 
 def cmd_check(args) -> int:
-    ws = Workspace()
-    t = ws.load_translation(args.translation)
+    t = io.load_translation(args.translation)
+    _same_models(t.source_model, t.target_model)
     source = parse_type(args.source_type, t.source_model.basics)
     target = parse_type(args.target_type, t.source_model.basics)
     found = reduce_search(source, target, max_results=1)
@@ -159,10 +135,10 @@ def cmd_fit(args) -> int:
 
 
 def cmd_dict(args) -> int:
-    ws = Workspace()
-    lex_a = ws.load_lexicon(args.lex_a)
-    lex_b = ws.load_lexicon(args.lex_b)
-    t = ws.load_translation(args.translation)
+    lex_a = io.load_lexicon(args.lex_a)
+    lex_b = io.load_lexicon(args.lex_b)
+    t = io.load_translation(args.translation)
+    _same_models(lex_a.model, lex_b.model, t.source_model, t.target_model)
     type_filter = None
     if args.target_type:
         type_filter = parse_type(args.target_type, lex_b.model.basics)

@@ -6,15 +6,18 @@ resulting Euclidean distance.  Thresholding keeps only pairs whose
 meanings are close enough.
 
 Phrases are handled in type buckets: all phrases of one type sit in one
-tensor stack.  The build is planned on types first.  Source and target
-bucket types are joined on their free-group image, which every
-reduction keeps, and only joined pairs are searched for reductions.  A
-stack is grown only for a bucket that some reduction leaves or lands on.
-Each reduction contracts its whole source stack once, and each target
-bucket's distances are computed a block of reduced rows at a time, the
-rows drawn from every (source bucket, reduction) that lands on it.  The
-kept pairs are collected as columns (source phrase, target phrase,
-reduction, distance) and ordered by one ``np.lexsort``.
+tensor stack.  The build is planned on types first, by one join that
+serves both sides: a bucket type is searched for reductions onto a type
+only when their free-group images agree, which every reduction keeps,
+and the bucket type is no shorter.  The target buckets land on their own
+types by the identity, or on the filter type by their first reduction;
+the source buckets land on the types the target side reached.  Both
+sides then take one row path: each (bucket, reduction) part contracts
+its whole stack once, and at each landing type the target rows are
+compared with every source part's rows, a block of rows at a time.  A
+stack is grown only for a bucket that some reduction leaves or lands
+on.  The kept pairs are collected as columns (source phrase, target
+phrase, reduction, distance) and ordered by one ``np.lexsort``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,9 @@ from .semantics import _contract
 from .translation import Translation, translate_object
 
 # One block of the broadcast source-minus-target difference holds at most
-# this many float64 entries (rows x target phrases x row width).
+# this many float64 entries (rows x target phrases x row width), unless one
+# source row against all the target rows is larger: a block is then that
+# one row.
 _BLOCK_ELEMENTS = 1 << 16
 
 
@@ -194,13 +199,16 @@ def _reduced_rows(r: Reduction, stack: np.ndarray) -> np.ndarray:
     a row do not depend on how many rows there are.  A lone phrase is
     stacked twice: numpy sums a single full reduction in another order
     than a batch, and a pushed-through pair is exactly 0 only when both
-    sides went through the same arithmetic.
+    sides went through the same arithmetic.  The identity contracts
+    nothing, so its rows of two or more phrases are a view of the stack.
     """
     n = len(stack)
     if n == 1:
         stack = np.concatenate([stack, stack])
-    out = _contract(r, np.moveaxis(stack, 0, -1))
-    return np.moveaxis(out, -1, 0).reshape(len(stack), -1)[:n]
+    # ``transpose`` is ``np.moveaxis`` without its argument checks, which
+    # take longer than contracting a small stack
+    out = _contract(r, stack.transpose(*range(1, stack.ndim), 0))
+    return out.transpose(-1, *range(out.ndim - 1)).reshape(len(stack), -1)[:n]
 
 
 def _distances(source_rows: np.ndarray, target_rows: np.ndarray) -> np.ndarray:
@@ -268,109 +276,75 @@ def _build_table(
 ) -> DictionaryTable:
     sources = _PhraseBuckets(_image_lexicon(t, lexA, lexA.words), q.max_source_len)
     targets = _PhraseBuckets(lexB, q.max_target_len)
-    compared = list(targets.plan) if q.target_type_filter is None else [q.target_type_filter]
-    # a reduction keeps the free-group image and never lengthens a type, so
-    # only the pairs that meet both conditions are searched
-    by_image: dict[tuple, list[PregroupType]] = {}
-    for h in compared:
-        by_image.setdefault(free_group_image(h), []).append(h)
-    reductions: list[Reduction] = []
-    arrivals: dict[PregroupType, list[tuple[PregroupType, int]]] = {}
-    for g in sources.plan:
-        for h in by_image.get(free_group_image(g), ()):
-            if len(h) > len(g):
-                continue
-            for r in reduce_search(g, h):
-                arrivals.setdefault(h, []).append((g, len(reductions)))
-                reductions.append(r)
+    if q.target_type_filter is None:
+        target_parts = {h: [(h, Reduction.identity(h))] for h in targets.plan}
+    else:
+        target_parts = _landings(targets.plan, [q.target_type_filter], max_results=1)
+    source_parts = _landings(sources.plan, target_parts)
 
     limit = math.inf if q.threshold is None else q.threshold
+    reductions: list[Reduction] = []
     no_rows = np.empty(0, dtype=np.intp)
     # (source, target, reduction, distance) columns per block, after an empty one
     kept = [(no_rows, no_rows, no_rows, np.empty(0))]
-    for h, landing in arrivals.items():
-        target, target_rows = _target_rows(targets, h, q.target_type_filter)
-        if not len(target):
-            continue
+    for h, landing in source_parts.items():
+        target, target_rows = _rows(targets, target_parts[h])
         step = max(1, _BLOCK_ELEMENTS // target_rows.size)
-        for source, reduction, rows in _reduced_blocks(sources, landing, reductions, step):
-            block = _distances(rows, target_rows)
-            finite = np.isfinite(block)
-            if not finite.all():
-                i, j = np.argwhere(~finite)[0]
-                raise NonFiniteError(
-                    f"distance from {' '.join(sources.labels[source[i]][0])} to "
-                    f"{' '.join(targets.labels[target[j]][0])} by {reductions[reduction[i]]} "
-                    f"is {block[i, j]}: the arithmetic overflows float64"
-                )
-            kept_i, kept_j = np.nonzero(block <= limit)
-            if len(kept_i):
-                kept.append(
-                    (source[kept_i], target[kept_j], reduction[kept_i], block[kept_i, kept_j])
-                )
+        for g, r in landing:
+            numbers, stack = sources.bucket(g)
+            rows = _reduced_rows(r, stack)
+            reductions.append(r)
+            for start in range(0, len(rows), step):
+                source = numbers[start : start + step]
+                block = _distances(rows[start : start + step], target_rows)
+                finite = np.isfinite(block)
+                if not finite.all():
+                    i, j = np.argwhere(~finite)[0]
+                    raise NonFiniteError(
+                        f"distance from {' '.join(sources.labels[source[i]][0])} to "
+                        f"{' '.join(targets.labels[target[j]][0])} by {r} "
+                        f"is {block[i, j]}: the arithmetic overflows float64"
+                    )
+                kept_i, kept_j = np.nonzero(block <= limit)
+                if len(kept_i):
+                    reduction = np.full(len(kept_i), len(reductions) - 1)
+                    kept.append((source[kept_i], target[kept_j], reduction, block[kept_i, kept_j]))
     source, target, reduction, distance = map(np.concatenate, zip(*kept))
     return _sorted_table(
         sources.labels, targets.labels, reductions, source, target, reduction, distance
     )
 
 
-def _target_rows(
-    targets: _PhraseBuckets, h: PregroupType, type_filter: PregroupType | None
+def _landings(
+    types: Iterable[PregroupType], onto: Iterable[PregroupType], max_results: int | None = None
+) -> dict[PregroupType, list[tuple[PregroupType, Reduction]]]:
+    """Every reduction (up to ``max_results`` per pair) from one of ``types``
+    onto one of ``onto``, as (type, reduction) parts by the type they land on.
+
+    A reduction keeps the free-group image and never lengthens a type, so
+    only the pairs that meet both conditions are searched.
+    """
+    by_image: dict[tuple, list[PregroupType]] = {}
+    for h in onto:
+        by_image.setdefault(free_group_image(h), []).append(h)
+    landings: dict[PregroupType, list[tuple[PregroupType, Reduction]]] = {}
+    for g in types:
+        for h in by_image.get(free_group_image(g), ()):
+            if len(h) <= len(g):
+                for r in reduce_search(g, h, max_results):
+                    landings.setdefault(h, []).append((g, r))
+    return landings
+
+
+def _rows(
+    buckets: _PhraseBuckets, parts: list[tuple[PregroupType, Reduction]]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The target phrases compared at type ``h``: their numbers and flattened rows.
-
-    Without a filter that is the bucket of type ``h``; with one, every
-    target bucket that reduces onto the filter, by its first reduction.
-    """
-    if type_filter is None:
-        numbers, stack = targets.bucket(h)
-        return numbers, stack.reshape(len(numbers), -1)
-    numbers, rows = [], []
-    image = free_group_image(h)
-    for g in targets.plan:
-        if free_group_image(g) != image or len(g) < len(h):
-            continue
-        onto = reduce_search(g, h, max_results=1)
-        if onto:
-            bucket, stack = targets.bucket(g)
-            numbers.append(bucket)
-            rows.append(_reduced_rows(onto[0], stack))
-    if not rows:
-        return np.empty(0, dtype=np.intp), np.empty((0, 1))
-    return np.concatenate(numbers), np.concatenate(rows)
-
-
-def _reduced_blocks(
-    sources: _PhraseBuckets, landing: list[tuple[PregroupType, int]], reductions: list, step: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The reduced rows of every (source bucket, reduction number) in ``landing``,
-    regrouped into blocks of ``step`` rows.
-
-    Each block is (source phrase numbers, reduction numbers, rows), one
-    entry per row.  Only the reduced stacks that the current block draws
-    on are held.
-    """
-    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    filled = 0
-    for g, r in landing:
-        numbers, stack = sources.bucket(g)
-        rows = _reduced_rows(reductions[r], stack)
-        reduction = np.full(len(rows), r)
-        start = 0
-        while start < len(rows):
-            stop = min(len(rows), start + step - filled)
-            parts.append((numbers[start:stop], reduction[start:stop], rows[start:stop]))
-            filled += stop - start
-            start = stop
-            if filled == step:
-                yield _joined(parts)
-                parts, filled = [], 0
-    if parts:
-        yield _joined(parts)
-
-
-def _joined(parts: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
-    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+    """The phrase numbers and reduced rows of every (bucket type, reduction) part."""
+    numbered = []
+    for g, r in parts:
+        numbers, stack = buckets.bucket(g)
+        numbered.append((numbers, _reduced_rows(r, stack)))
+    return numbered[0] if len(numbered) == 1 else tuple(map(np.concatenate, zip(*numbered)))
 
 
 def _sorted_table(

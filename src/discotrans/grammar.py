@@ -278,12 +278,8 @@ def reduce_search(
         raise ValueError("max_results must be at least 1")
     if not _reduces(source.simples, target.simples):
         return []
-    results = []
-    for cups in islice(_walk(source.simples, target.simples, 0), max_results):
-        cupped = {i for cup in cups for i in cup}
-        survivors = tuple(i for i in range(len(source)) if i not in cupped)
-        results.append(Reduction(source, target, frozenset(cups), survivors))
-    return results
+    walk = _walk(source.simples, target.simples, 0)
+    return [Reduction.from_cups(source, cups) for cups in islice(walk, max_results)]
 
 
 def free_group_image(g: PregroupType) -> tuple[tuple[BasicType, int], ...]:

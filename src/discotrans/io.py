@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .dictionary import DictionaryEntry, DictionaryTable
-from .errors import FormatError
+from .errors import FormatError, InvalidReductionError
 from .grammar import Reduction, parse_type
 from .lexicon import Lexicon, Phrase
 from .product_space import PSObject
@@ -246,8 +246,8 @@ def _phrase_from_doc(doc) -> Phrase:
         raise FormatError("phrase 'words' must be a non-empty array of strings")
     if "senses" not in doc:
         return Phrase(tuple(words))
-    if not _is_int_list(doc["senses"]):
-        raise FormatError("phrase 'senses' must be an array of integers")
+    if not _is_int_list(doc["senses"], len(words)):
+        raise FormatError("phrase 'senses' must be an array of one integer per word")
     return Phrase(tuple(words), tuple(doc["senses"]))
 
 
@@ -292,14 +292,22 @@ def dictionary_from_doc(doc) -> list[DictionaryEntry]:
             and math.isfinite(distance)
         ):
             raise FormatError("dictionary entry 'distance' must be a finite number")
+        source = parse_type(str(_require(red_doc, "source", "reduction")))
+        target = parse_type(str(_require(red_doc, "target", "reduction")))
+        try:
+            reduction = Reduction.from_cups(source, [tuple(c) for c in cups])
+        except InvalidReductionError as exc:
+            raise FormatError(f"reduction cups {cups} on '{source}': {exc}") from exc
+        if reduction.target != target:
+            raise FormatError(
+                f"reduction cups {cups} take '{source}' to '{reduction.target}', "
+                f"not to its declared target '{target}'"
+            )
         entries.append(
             DictionaryEntry(
                 _phrase_from_doc(_require(record, "source", "dictionary entry")),
                 _phrase_from_doc(_require(record, "target", "dictionary entry")),
-                Reduction.from_cups(
-                    parse_type(str(_require(red_doc, "source", "reduction"))),
-                    [tuple(c) for c in cups],
-                ),
+                reduction,
                 float(distance),
             )
         )

@@ -13,6 +13,7 @@ from discotrans.dictionary import (
     DictionaryEntry,
     DictionaryQuery,
     _PhraseBuckets,
+    _reduced_rows,
     build_dictionary,
     threshold_relation,
 )
@@ -525,10 +526,12 @@ def test_wide_bucket_pair_is_built_in_bounded_memory():
     assert peak < 16 * 2**20
 
 
-def test_deep_query_searches_only_joined_pairs(monkeypatch):
+@pytest.mark.parametrize("onto", [None, "s"])
+def test_deep_query_searches_only_joined_pairs(monkeypatch, onto):
     # four word classes at d=2, source phrases up to three words: of all
-    # source and target bucket pairs, only those with equal free-group
-    # images and a target no longer than the source are searched
+    # pairs of a bucket type and a type it may land on, only those with
+    # equal free-group images and a landing type no longer than the bucket
+    # type are searched, on the source side and on the filtered target side
     rng = np.random.default_rng(41)
     model = LanguageModel("m", {"x": 2, "s": 1})
     classes = [("n", ["x"]), ("i", ["x^r s"]), ("a", ["x x^l"]), ("v", ["x^r s x^l", "x^r s"])]
@@ -540,22 +543,41 @@ def test_deep_query_searches_only_joined_pairs(monkeypatch):
     t = Translation(model, model, {b: parse_type(b) for b in ("x", "s")},
                     {"x": random_orthogonal(rng, 2), "s": np.eye(1)})
     pushed = translate_lexicon(t, lex)
-    query = DictionaryQuery(max_source_len=3, max_target_len=2, threshold=0.5, max_pairs=10**7)
+    type_filter = None if onto is None else parse_type(onto)
+    query = DictionaryQuery(max_source_len=3, max_target_len=2, target_type_filter=type_filter,
+                            threshold=0.5, max_pairs=10**7)
     calls = []
 
     def counted(g, h, max_results=None):
-        calls.append((g, h))
+        calls.append((g, h, max_results))
         return reduce_search(g, h, max_results)
 
     monkeypatch.setattr(dictionary, "reduce_search", counted)
     table = build_dictionary(lex, pushed, t, query)
     sources, targets = _PhraseBuckets(lex, 3).plan, _PhraseBuckets(pushed, 2).plan
-    joined = {(g, h) for g in sources for h in targets
-              if free_group_image(g) == free_group_image(h) and len(h) <= len(g)}
-    assert len(calls) == len(set(calls)) == len(joined)
-    assert set(calls) == joined
-    assert len(joined) * 10 < len(sources) * len(targets)
+
+    def joined(types, landing, max_results=None):
+        return {(g, h, max_results) for g in types for h in landing
+                if free_group_image(g) == free_group_image(h) and len(h) <= len(g)}
+
+    if type_filter is None:
+        expected = joined(sources, targets)
+    else:
+        expected = joined(targets, [type_filter], 1) | joined(sources, [type_filter])
+    assert len(calls) == len(set(calls)) == len(expected)
+    assert set(calls) == expected
+    assert len(expected) * 10 < len(sources) * len(targets)
     assert len(table) > 0
+
+
+def test_identity_rows_are_a_view_of_the_stack():
+    # a target bucket compared at its own type is not copied
+    rng = np.random.default_rng(2)
+    g = parse_type("x^r s x^l")
+    stack = rng.standard_normal((3, 2, 1, 2))
+    rows = _reduced_rows(Reduction.identity(g), stack)
+    assert np.shares_memory(rows, stack)
+    assert np.array_equal(rows, stack.reshape(3, -1))
 
 
 def test_source_bucket_without_reduction_is_never_built():

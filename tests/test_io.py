@@ -85,6 +85,10 @@ def test_dictionary_doc_round_trip(collapse, wardrobe):
         assert a.distance == pytest.approx(b.distance, abs=1e-9)
 
 
+# a field deleted from the record rather than set
+_MISSING = object()
+
+
 def _entry_doc():
     record = {
         "source": {"words": ["dog"], "senses": [0]},
@@ -119,12 +123,20 @@ def test_well_formed_entry_doc_loads():
         (None, "distance", None),
         (None, "distance", float("nan")),
         (None, "distance", float("inf")),
+        ("source", "senses", [0, 0]),
+        ("reduction", "cups", [[0, 1]]),
+        ("reduction", "target", "s"),
+        ("reduction", "target", _MISSING),
     ],
 )
 def test_malformed_entry_docs_rejected(part, key, value):
     doc = _entry_doc()
     record = doc["entries"][0]
-    (record if part is None else record[part])[key] = value
+    fields = record if part is None else record[part]
+    if value is _MISSING:
+        del fields[key]
+    else:
+        fields[key] = value
     with pytest.raises(FormatError):
         io.dictionary_from_doc(doc)
 
