@@ -4,10 +4,10 @@ Subcommands: parse, meaning, translate, check, procrustes, fit, dict.
 Exit codes: 0 success (a reader that closes stdout early included), 1
 negative result (no reduction, failed check, empty dictionary), 2 input
 error (an input too large for memory and a type too long to search for
-reductions included), 3 numeric failure (a dictionary distance that
-overflows float64 included).  Structured output goes to stdout as JSON
-documents that the loaders can read back; numbers are printed with 12
-significant digits.
+reductions included), 3 numeric failure (a dictionary distance or a
+meaning that overflows float64 included).  Structured output goes to
+stdout as JSON documents that the loaders can read back; numbers are
+printed with 12 significant digits.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .grammar import parse_type, reduce_search
 from .lexicon import Lexicon, Phrase, phrase_meaning
 from .semantics import LanguageModel, normalize_sentence
 from .translation import (
+    Translation,
     check_naturality,
     fit_alpha,
     nearest_unitary,
@@ -81,9 +82,19 @@ def cmd_parse(args) -> int:
     return EXIT_OK
 
 
-def _meaning_of(lex: Lexicon, args) -> int:
-    target = parse_type(args.target_type, lex.model.basics)
-    tensor = phrase_meaning(lex, _phrase(args), target)
+def _meaning_of(lex: Lexicon, args, t: Translation | None = None) -> int:
+    # overflow shows up as a non-finite meaning, which is checked before
+    # normalising could hide it
+    with np.errstate(over="ignore", invalid="ignore"):
+        if t is not None:
+            lex = translate_lexicon(t, lex)
+        target = parse_type(args.target_type, lex.model.basics)
+        tensor = phrase_meaning(lex, _phrase(args), target)
+    if not np.isfinite(tensor.array).all():
+        raise NonFiniteError(
+            f"meaning of '{args.phrase}' on '{target}' is not finite: "
+            "the arithmetic overflows float64"
+        )
     if args.normalize:
         tensor = normalize_sentence(lex.model, tensor)
     _print_doc(io.tensor_to_doc(tensor))
@@ -98,7 +109,7 @@ def cmd_translate(args) -> int:
     lex = io.load_lexicon(args.lex)
     t = io.load_translation(args.translation)
     _same_models(lex.model, t.source_model, t.target_model)
-    return _meaning_of(translate_lexicon(t, lex), args)
+    return _meaning_of(lex, args, t)
 
 
 def cmd_check(args) -> int:

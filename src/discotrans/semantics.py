@@ -63,20 +63,37 @@ class Tensor:
     """A dense real tensor typed by a pregroup word.
 
     The array has one axis per simple type; a unit-typed tensor is a
-    0-d scalar.  Arrays are frozen at construction.
+    0-d scalar.  Arrays are frozen and C-ordered.  ``Tensor(type, array)``
+    (and so ``make_tensor``) copies the caller's array, which the caller
+    may still hold and write to; the library's own operations
+    (``tensor_product``, ``apply_reduction``, ``normalize_sentence``,
+    ``unit_scalar``, ``translate_object``) adopt the arrays they have
+    just made, without a copy.
     """
 
     type: PregroupType
     array: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.array, dtype=float)
+        self._freeze(np.array(self.array, dtype=float, order="C"))
+
+    @classmethod
+    def _adopt(cls, g: PregroupType, array) -> Tensor:
+        """Wrap an array that nothing else may write to: one the library
+        has just made, or a view of a frozen one.  It is frozen in place
+        and kept without a copy (copied only if it is not C-ordered; a
+        NumPy scalar becomes a 0-d array)."""
+        tensor = object.__new__(cls)
+        object.__setattr__(tensor, "type", g)
+        tensor._freeze(np.asarray(array, dtype=float, order="C"))
+        return tensor
+
+    def _freeze(self, arr: np.ndarray) -> None:
         if arr.ndim != len(self.type.simples):
             raise TypeMismatchError(
                 f"array of rank {arr.ndim} cannot carry type '{self.type}' "
                 f"({len(self.type.simples)} simple types)"
             )
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "array", arr)
 
@@ -107,12 +124,12 @@ def make_tensor(model: LanguageModel, g: PregroupType, data) -> Tensor:
 
 
 def unit_scalar(value: float = 1.0) -> Tensor:
-    return Tensor(PregroupType(), np.asarray(float(value)))
+    return Tensor._adopt(PregroupType(), np.asarray(float(value)))
 
 
 def tensor_product(u: Tensor, v: Tensor) -> Tensor:
     """Outer product; flattens row-major to the Kronecker product."""
-    return Tensor(u.type @ v.type, np.multiply.outer(u.array, v.array))
+    return Tensor._adopt(u.type @ v.type, np.multiply.outer(u.array, v.array))
 
 
 def _contract(r: Reduction, *arrays: np.ndarray) -> np.ndarray:
@@ -170,7 +187,9 @@ def apply_reduction(model: LanguageModel, r: Reduction, t: Tensor) -> Tensor:
             f"tensor shape {list(t.shape)} does not match model "
             f"{model.name!r} shape {space_shape(model, r.source)}"
         )
-    return Tensor(r.target, _contract(r, t.array))
+    # an identity reduction gives a view of t's frozen array, adopted as
+    # it is: neither tensor can be written to
+    return Tensor._adopt(r.target, _contract(r, t.array))
 
 
 def normalize_sentence(model: LanguageModel, t: Tensor) -> Tensor:
@@ -180,4 +199,4 @@ def normalize_sentence(model: LanguageModel, t: Tensor) -> Tensor:
             f"normalization needs a one-dimensional sentence value, got shape {list(t.shape)}"
         )
     value = 0.0 if float(t.flat[0]) == 0.0 else 1.0
-    return Tensor(t.type, np.full(t.shape, value))
+    return Tensor._adopt(t.type, np.full(t.shape, value))

@@ -131,7 +131,7 @@ def alpha_component(t: Translation, g: PregroupType, array) -> np.ndarray:
 def translate_object(t: Translation, o: PSObject) -> PSObject:
     """Image of an object: its meaning pushed through alpha axis by axis."""
     image = alpha_component(t, o.type, o.meaning.array)
-    return PSObject.of(Tensor(j_apply(t, o.type), image))
+    return PSObject.of(Tensor._adopt(j_apply(t, o.type), image))
 
 
 def translate_reduction(t: Translation, r: Reduction) -> Reduction:

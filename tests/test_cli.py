@@ -13,7 +13,10 @@ from discotrans.cli import main
 from discotrans.demo import collapse_number_translation, wardrobe_lexicon
 from discotrans.dictionary import DictionaryQuery, build_dictionary
 from discotrans.grammar import parse_type
-from discotrans.translation import translate_lexicon
+from discotrans.lexicon import Lexicon
+from discotrans.product_space import PSObject
+from discotrans.semantics import LanguageModel, make_tensor
+from discotrans.translation import identity_translation, translate_lexicon
 from test_dictionary import _random_bucket_pair, overflow_pair
 
 
@@ -183,6 +186,35 @@ def test_meaning_output_reloads(files, capsys):
     lex = io.load_lexicon(files / "aware.lex.json")
     tensor = io.tensor_from_doc(json.loads(out), lex.model)
     assert tensor.flat.tolist() == [2.0, 5.0, 3.0, 1.0]
+
+
+def _overflowing_meaning_files(tmp_path):
+    """A lexicon whose two-word sentence overflows float64, and an identity translation."""
+    model = LanguageModel("m", {"n": 2, "s": 1})
+    lex = Lexicon(model, {
+        "big": (PSObject.of(make_tensor(model, parse_type("n"), [1e200, 1.0])),),
+        "runs": (PSObject.of(make_tensor(model, parse_type("n^r s"), [1e200, 1.0])),),
+    })
+    io.save_doc(io.lexicon_to_doc(lex), tmp_path / "big.lex.json")
+    io.save_doc(io.translation_to_doc(identity_translation(model)), tmp_path / "id.json")
+    return tmp_path
+
+
+@pytest.mark.parametrize("normalize", [[], ["--normalize"]], ids=["plain", "normalize"])
+@pytest.mark.parametrize("command", ["meaning", "translate"])
+def test_overflowing_meaning_is_numeric_error(tmp_path, capsys, command, normalize):
+    # RuntimeWarning is an error under pytest, so none may escape either
+    files = _overflowing_meaning_files(tmp_path)
+    extra = ["--translation", str(files / "id.json")] if command == "translate" else []
+    code, out, err = run(
+        capsys,
+        command, "--lex", str(files / "big.lex.json"), *extra,
+        "--phrase", "big runs", "--to", "s", *normalize,
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numeric error:") and err.count("\n") == 1
+    assert "overflows float64" in err
 
 
 # -- check -----------------------------------------------------------------------------

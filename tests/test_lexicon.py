@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from discotrans import demo
 from discotrans.errors import (
     NoReductionError,
     SenseIndexError,
@@ -109,6 +111,40 @@ def test_explicit_senses_disable_backtracking(wardrobe):
 def test_single_noun_reduces_to_itself(wardrobe):
     out = phrase_meaning(wardrobe, Phrase(("boots",)), parse_type("n_p"))
     assert np.array_equal(out.array, wardrobe.entries["boots"][0].meaning.array)
+
+
+def test_wardrobe_leaves_the_demo_matrix_alone():
+    before = demo.WEARS_MATRIX.copy()
+    lex = demo.wardrobe_lexicon()
+    for obj in lex.senses("wears"):
+        assert not np.shares_memory(obj.meaning.array, demo.WEARS_MATRIX)
+    meaning = phrase_meaning(lex, Phrase.parse("Rosie wears a_boot"), parse_type("s"))
+    assert meaning.array.tolist() == [-1.0]
+    assert np.array_equal(demo.WEARS_MATRIX, before)
+    assert demo.WEARS_MATRIX.flags.writeable
+
+
+def test_sentence_meaning_holds_one_phrase_tensor():
+    # noun, transitive verb, noun at d=32: the phrase tensor is 32**4
+    # floats (8 MiB), built once by the outer product and not copied
+    model = LanguageModel("m", {"n": 32, "s": 1})
+    rng = np.random.default_rng(3)
+
+    def word(text):
+        g = parse_type(text)
+        data = rng.standard_normal(space_shape(model, g))
+        return (PSObject.of(make_tensor(model, g, data)),)
+
+    lex = Lexicon(model, {"a": word("n"), "v": word("n^r s n^l"), "b": word("n")})
+    phrase, s = Phrase(("a", "v", "b")), parse_type("s")
+    phrase_meaning(lex, phrase, s)  # fill the grammar memo first
+    tracemalloc.start()
+    try:
+        phrase_meaning(lex, phrase, s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * 2**20
 
 
 def test_no_reduction_to_wrong_target(wardrobe):

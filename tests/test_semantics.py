@@ -23,6 +23,8 @@ from discotrans.semantics import (
     tensor_product,
     unit_scalar,
 )
+from discotrans.product_space import PSObject
+from discotrans.translation import identity_translation, translate_object
 from conftest import random_model, random_word
 from oracles import random_orthogonal, random_reduction, reduction_matrix
 
@@ -71,6 +73,47 @@ def test_tensor_arrays_are_frozen():
     t = make_tensor(LanguageModel("m", {"n": 2}), parse_type("n"), [1, 2])
     with pytest.raises(ValueError):
         t.array[0] = 5
+
+
+@pytest.mark.parametrize("build", ["Tensor", "make_tensor"])
+@pytest.mark.parametrize("frozen", [False, True], ids=["writeable", "read-only-view"])
+def test_public_constructors_copy_the_callers_array(build, frozen):
+    model = LanguageModel("m", {"n": 2})
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    given = a.view() if frozen else a
+    if frozen:
+        given.flags.writeable = False
+    if build == "Tensor":
+        t = Tensor(parse_type("n n"), given)
+    else:
+        t = make_tensor(model, parse_type("n n"), given)
+    assert not np.shares_memory(t.array, a)
+    a[0, 0] = 9.0
+    assert t.array.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+def test_library_results_are_read_only():
+    model = LanguageModel("m", {"n": 2, "s": 1})
+    u = make_tensor(model, parse_type("n"), [1.0, 2.0])
+    v = make_tensor(model, parse_type("n^r s"), [3.0, 4.0])
+    uv = tensor_product(u, v)
+    r = Reduction.from_cups(uv.type, [(0, 1)])
+    results = [
+        uv,
+        tensor_product(unit_scalar(2.0), unit_scalar(3.0)),
+        apply_reduction(model, r, uv),
+        apply_reduction(model, Reduction.identity(uv.type), uv),
+        normalize_sentence(model, apply_reduction(model, r, uv)),
+        unit_scalar(5.0),
+        translate_object(identity_translation(model), PSObject.of(uv)).meaning,
+        translate_object(identity_translation(model), PSObject.of(unit_scalar(2.0))).meaning,
+    ]
+    for t in results:
+        assert not t.array.flags.writeable
+        assert t.array.ndim == len(t.type.simples)
+        with pytest.raises(ValueError):
+            t.array[...] = 0.0
+    assert results[2].array.tolist() == [11.0]
 
 
 def test_tensor_product_unit():
