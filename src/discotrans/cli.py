@@ -4,10 +4,10 @@ Subcommands: parse, meaning, translate, check, procrustes, fit, dict.
 Exit codes: 0 success (a reader that closes stdout early included), 1
 negative result (no reduction, failed check, empty dictionary), 2 input
 error (an input too large for memory and a type too long to search for
-reductions included), 3 numeric failure (a dictionary distance or a
-meaning that overflows float64 included).  Structured output goes to
-stdout as JSON documents that the loaders can read back; numbers are
-printed with 12 significant digits.
+reductions included), 3 numeric failure (any result that overflows
+float64 to infinity or NaN).  Structured output goes to stdout as JSON
+documents that the loaders can read back; numbers are printed with 12
+significant digits, and are always finite.
 """
 
 from __future__ import annotations
@@ -83,13 +83,12 @@ def cmd_parse(args) -> int:
 
 
 def _meaning_of(lex: Lexicon, args, t: Translation | None = None) -> int:
-    # overflow shows up as a non-finite meaning, which is checked before
+    if t is not None:
+        lex = translate_lexicon(t, lex)
+    target = parse_type(args.target_type, lex.model.basics)
+    tensor = phrase_meaning(lex, _phrase(args), target)
+    # overflow shows up as a non-finite meaning, checked before
     # normalising could hide it
-    with np.errstate(over="ignore", invalid="ignore"):
-        if t is not None:
-            lex = translate_lexicon(t, lex)
-        target = parse_type(args.target_type, lex.model.basics)
-        tensor = phrase_meaning(lex, _phrase(args), target)
     if not np.isfinite(tensor.array).all():
         raise NonFiniteError(
             f"meaning of '{args.phrase}' on '{target}' is not finite: "
@@ -243,7 +242,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        # overflow ends as a non-finite number, which no document may hold:
+        # the command raises NonFiniteError instead of warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = args.func(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -16,7 +16,7 @@ pair once everything nested inside has been contracted.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice
 from typing import Collection, Iterable, Iterator, NamedTuple
@@ -124,20 +124,25 @@ class Reduction:
     """A type reduction witnessed by cups over the source word.
 
     ``cups`` holds index pairs (i, j), i < j, each contracting the pair
-    ``(x, z)`` at i with ``(x, z+1)`` at j; ``survivors`` lists the
-    uncupped indices in order, and spells out the target.  Construction
-    validates the whole structure in one left-to-right pass.
+    ``(x, z)`` at i with ``(x, z+1)`` at j.  Construction validates the
+    whole structure in one left-to-right pass, which also derives
+    ``survivors``, the uncupped indices in order, and ``target``, the
+    simple types they spell.
     """
 
     source: PregroupType
-    target: PregroupType
     cups: frozenset[tuple[int, int]]
-    survivors: tuple[int, ...]
+    # derived from source and cups, so they take no part in equality
+    survivors: tuple[int, ...] = field(init=False, compare=False)
+    target: PregroupType = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cups", frozenset(tuple(c) for c in self.cups))
-        object.__setattr__(self, "survivors", tuple(self.survivors))
-        _validate(self)
+        survivors = _validate(self.source, self.cups)
+        object.__setattr__(self, "survivors", survivors)
+        object.__setattr__(
+            self, "target", PregroupType(tuple(self.source.simples[i] for i in survivors))
+        )
 
     @property
     def sorted_cups(self) -> tuple[tuple[int, int], ...]:
@@ -149,16 +154,12 @@ class Reduction:
 
     @classmethod
     def identity(cls, g: PregroupType) -> Reduction:
-        return cls(g, g, frozenset(), tuple(range(len(g))))
+        return cls(g, frozenset())
 
     @classmethod
     def from_cups(cls, source: PregroupType, cups: Iterable[tuple[int, int]]) -> Reduction:
-        """Build a reduction from its cups alone, deriving survivors and target."""
-        cupset = frozenset(tuple(c) for c in cups)
-        cupped = {i for cup in cupset for i in cup}
-        survivors = tuple(i for i in range(len(source)) if i not in cupped)
-        target = PregroupType(tuple(source.simples[i] for i in survivors))
-        return cls(source, target, cupset, survivors)
+        """The reduction of ``source`` by ``cups``, the same as ``Reduction(source, cups)``."""
+        return cls(source, cups)
 
     def __str__(self) -> str:
         if not self.cups:
@@ -166,10 +167,11 @@ class Reduction:
         return "".join(f"({i},{j})" for i, j in self.sorted_cups)
 
 
-def _validate(r: Reduction) -> None:
-    n = len(r.source)
+def _validate(source: PregroupType, cups: frozenset[tuple[int, int]]) -> tuple[int, ...]:
+    """Check that ``cups`` reduce ``source``; return the uncupped indices in order."""
+    n = len(source)
     partner: dict[int, int] = {}
-    for cup in r.cups:
+    for cup in cups:
         if len(cup) != 2 or not (0 <= cup[0] < cup[1] < n):
             raise InvalidReductionError(f"cup {cup} out of range for word of length {n}")
         i, j = cup
@@ -179,7 +181,7 @@ def _validate(r: Reduction) -> None:
     # One left-to-right pass with a stack of open cups: a cup must close
     # innermost first (planarity) and nothing may survive while a cup is
     # open (fully contracted interiors).
-    simples = r.source.simples
+    simples = source.simples
     open_cups: list[int] = []
     survivors: list[int] = []
     for k in range(n):
@@ -198,12 +200,7 @@ def _validate(r: Reduction) -> None:
                 raise InvalidReductionError(
                     f"cup ({i},{k}) joins {left} with {right}, not an adjoint pair"
                 )
-    if r.survivors != tuple(survivors):
-        raise InvalidReductionError(
-            f"survivors {r.survivors} do not list the uncupped indices in order"
-        )
-    if tuple(simples[i] for i in r.survivors) != r.target.simples:
-        raise InvalidReductionError("surviving simple types do not spell the target")
+    return tuple(survivors)
 
 
 Word = tuple[SimpleType, ...]
@@ -313,15 +310,10 @@ def compose_reductions(r2: Reduction, r1: Reduction) -> Reduction:
             f"cannot compose: first lands in '{r1.target}' but second starts at '{r2.source}'"
         )
     lifted = {(r1.survivors[i], r1.survivors[j]) for i, j in r2.cups}
-    survivors = tuple(r1.survivors[k] for k in r2.survivors)
-    return Reduction(r1.source, r2.target, frozenset(r1.cups | lifted), survivors)
+    return Reduction(r1.source, r1.cups | lifted)
 
 
 def tensor_reductions(r1: Reduction, r2: Reduction) -> Reduction:
     """Side-by-side product of reductions on the concatenated source."""
     off = len(r1.source)
-    cups = set(r1.cups) | {(i + off, j + off) for i, j in r2.cups}
-    survivors = r1.survivors + tuple(k + off for k in r2.survivors)
-    return Reduction(
-        r1.source @ r2.source, r1.target @ r2.target, frozenset(cups), survivors
-    )
+    return Reduction(r1.source @ r2.source, r1.cups | {(i + off, j + off) for i, j in r2.cups})

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .dictionary import DictionaryEntry, DictionaryTable
-from .errors import FormatError, InvalidReductionError
+from .errors import FormatError, InvalidReductionError, NonFiniteError
 from .grammar import Reduction, parse_type
 from .lexicon import Lexicon, Phrase
 from .product_space import PSObject
@@ -31,7 +31,17 @@ def format_number(x: float, digits: int = 12) -> str:
 
 
 def round_sig(x: float, digits: int = 12) -> float:
-    return float(format_number(x, digits))
+    """``x`` to ``digits`` significant digits, as every document writer prints it.
+
+    Raises ``NonFiniteError`` on infinity or NaN, which strict JSON
+    readers reject.
+    """
+    value = float(format_number(x, digits))
+    if not math.isfinite(value):
+        raise NonFiniteError(
+            f"a result is {value}, which no document may hold: the arithmetic overflows float64"
+        )
+    return value
 
 
 def _check_format(doc, kind: str) -> dict:

@@ -12,7 +12,9 @@ tried.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
+from operator import matmul
 
 from .errors import NoReductionError, SenseIndexError, UnknownWordError
 from .grammar import PregroupType, Reduction, reduce_search
@@ -96,12 +98,7 @@ def _chosen_objects(lex: Lexicon, p: Phrase, choice: tuple[int, ...]) -> list[PS
 
 def lex_phrase(lex: Lexicon, p: Phrase) -> PSObject:
     """Monoidal product of the per-word objects, left to right."""
-    choice = _resolve_senses(lex, p)
-    objs = _chosen_objects(lex, p, choice)
-    result = objs[0]
-    for obj in objs[1:]:
-        result = ps_tensor(result, obj)
-    return result
+    return reduce(ps_tensor, _chosen_objects(lex, p, _resolve_senses(lex, p)))
 
 
 def _sense_combinations(lex: Lexicon, p: Phrase):
@@ -142,15 +139,11 @@ def phrase_reduction(
     """Like phrase_meaning but also reports the reduction and senses used."""
     for choice in _sense_combinations(lex, p):
         objs = _chosen_objects(lex, p, choice)
-        phrase_type = PregroupType(
-            tuple(s for obj in objs for s in obj.type.simples)
-        )
-        found = reduce_search(phrase_type, target, max_results=1)
+        found = reduce_search(reduce(matmul, (obj.type for obj in objs)), target, max_results=1)
         if not found:
             continue
-        meaning = lex_phrase(lex, Phrase(p.words, choice)).meaning
-        reduced = apply_reduction(lex.model, found[0], meaning)
-        return reduced, found[0], choice
+        meaning = reduce(ps_tensor, objs).meaning
+        return apply_reduction(lex.model, found[0], meaning), found[0], choice
     raise NoReductionError(
         f"no sense assignment of '{p}' reduces to '{target}'"
     )

@@ -20,20 +20,17 @@ from .semantics import LanguageModel, Tensor, _contract, apply_reduction, tensor
 
 @dataclass(frozen=True)
 class PSObject:
-    """A (type, meaning) pair."""
+    """A (type, meaning) pair, its type being the meaning tensor's own."""
 
-    type: PregroupType
     meaning: Tensor
 
-    def __post_init__(self) -> None:
-        if self.meaning.type != self.type:
-            raise TypeMismatchError(
-                f"meaning tensor has type '{self.meaning.type}', object declares '{self.type}'"
-            )
+    @property
+    def type(self) -> PregroupType:
+        return self.meaning.type
 
     @classmethod
     def of(cls, meaning: Tensor) -> PSObject:
-        return cls(meaning.type, meaning)
+        return cls(meaning)
 
 
 @dataclass(frozen=True)
@@ -71,9 +68,7 @@ def ps_compose(
     """Composite arrow; the label is recomputed between the outer endpoints."""
     _check_endpoints(m1, first, middle)
     _check_endpoints(m2, middle, last)
-    composite = compose_reductions(m2.reduction, m1.reduction)
-    image = _contract(composite, first.meaning.array)
-    return PSMorphism(composite, frobenius_distance(image, last.meaning.array))
+    return _arrow(compose_reductions(m2.reduction, m1.reduction), first, last)
 
 
 def ps_tensor(a: PSObject, b: PSObject) -> PSObject:
@@ -93,10 +88,14 @@ def ps_tensor_morphism(
     _check_endpoints(m1, source1, target1)
     _check_endpoints(m2, source2, target2)
     product = tensor_reductions(m1.reduction, m2.reduction)
-    source = ps_tensor(source1, source2)
-    target = ps_tensor(target1, target2)
-    image = _contract(product, source.meaning.array)
-    return PSMorphism(product, frobenius_distance(image, target.meaning.array))
+    return _arrow(product, ps_tensor(source1, source2), ps_tensor(target1, target2))
+
+
+def _arrow(r: Reduction, source: PSObject, target: PSObject) -> PSMorphism:
+    """The arrow along ``r``, its label measured between the contracted
+    source meaning and the target meaning.  The endpoints are not checked."""
+    image = _contract(r, source.meaning.array)
+    return PSMorphism(r, frobenius_distance(image, target.meaning.array))
 
 
 def _check_endpoints(m: PSMorphism, source: PSObject, target: PSObject) -> None:

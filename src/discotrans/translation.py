@@ -28,8 +28,8 @@ from .errors import (
 )
 from .grammar import PregroupType, Reduction, SimpleType
 from .lexicon import Lexicon
-from .product_space import PSMorphism, PSObject, frobenius_distance
-from .semantics import LanguageModel, Tensor, _contract, space_shape
+from .product_space import PSMorphism, PSObject, _arrow
+from .semantics import LanguageModel, Tensor, space_shape
 
 
 @dataclass(frozen=True)
@@ -170,10 +170,7 @@ def translate_morphism(
             f"morphism endpoints '{source.type}' -> '{target.type}' do not match its reduction"
         )
     image = translate_reduction(t, m.reduction)
-    new_source = translate_object(t, source)
-    new_target = translate_object(t, target)
-    reduced = _contract(image, new_source.meaning.array)
-    return PSMorphism(image, frobenius_distance(reduced, new_target.meaning.array))
+    return _arrow(image, translate_object(t, source), translate_object(t, target))
 
 
 def translate_lexicon(t: Translation, lex: Lexicon) -> Lexicon:
@@ -251,8 +248,8 @@ def check_naturality(
     off-diagonal ``|G|`` and every other cup its largest ``|G|``.  No
     cups (or ``G = I``, an identity translation) give exactly 0.
     """
-    if not tolerance >= 0:
-        raise ValueError(f"tolerance must be a non-negative number, got {tolerance}")
+    if not 0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be a finite non-negative number, got {tolerance}")
     translate_reduction(t, r)  # raises NonFunctorialTranslationError
     alphas = [t.alpha[s.base] for s in r.source.simples]
     grams = [alphas[a].T @ alphas[a] for a, _ in r.cups]
@@ -289,7 +286,8 @@ def nearest_unitary(matrix: np.ndarray) -> np.ndarray:
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] == 0:
         raise ValueError(f"expected a non-empty square matrix, got shape {matrix.shape}")
     u, s, vt = np.linalg.svd(matrix)
-    cutoff = s[0] * max(matrix.shape) * np.finfo(float).eps
+    # eps scaled first: s[0] * max(shape) alone may overflow
+    cutoff = s[0] * (max(matrix.shape) * np.finfo(float).eps)
     if s[-1] <= cutoff:
         raise RankDeficientError(
             "matrix is rank deficient: every orthogonal completion of the "

@@ -10,13 +10,13 @@ import pytest
 import discotrans
 from discotrans import dictionary, grammar, io
 from discotrans.cli import main
-from discotrans.demo import collapse_number_translation, wardrobe_lexicon
+from discotrans.demo import DROP_QUANTITY, collapse_number_translation, wardrobe_lexicon
 from discotrans.dictionary import DictionaryQuery, build_dictionary
 from discotrans.grammar import parse_type
 from discotrans.lexicon import Lexicon
 from discotrans.product_space import PSObject
 from discotrans.semantics import LanguageModel, make_tensor
-from discotrans.translation import identity_translation, translate_lexicon
+from discotrans.translation import Translation, identity_translation, translate_lexicon
 from test_dictionary import _random_bucket_pair, overflow_pair
 
 
@@ -249,7 +249,8 @@ def test_check_identity_translation_passes(files, tmp_path, capsys):
     assert doc["max_residual"] == 0
 
 
-@pytest.mark.parametrize("tolerance", ["nan", "-1"])
+# an infinite tolerance is rejected too: no document may hold it
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
 def test_check_nan_or_negative_tolerance_is_input_error(files, capsys, tolerance):
     code, out, err = run(
         capsys,
@@ -259,6 +260,22 @@ def test_check_nan_or_negative_tolerance_is_input_error(files, capsys, tolerance
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_check_overflowing_residual_is_numeric_error(tmp_path, capsys):
+    # alpha's Gram matrix overflows: no document may hold the infinite
+    # residual, and RuntimeWarning is an error under pytest, so none may escape
+    t = collapse_number_translation()
+    alpha = dict(t.alpha, n_s=1e200 * DROP_QUANTITY)
+    big = Translation(t.source_model, t.target_model, t.j, alpha)
+    io.save_doc(io.translation_to_doc(big), tmp_path / "big.json")
+    code, out, err = run(
+        capsys,
+        "check", "--translation", str(tmp_path / "big.json"), "--from", "n_s n_s^r s", "--to", "s",
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numeric error:") and err.count("\n") == 1
 
 
 # -- procrustes and fit -----------------------------------------------------------------
@@ -290,6 +307,16 @@ def test_fit_interpolates_basis(tmp_path, capsys):
     assert code == 0
     matrix = io.matrix_from_doc(json.loads(out))
     assert matrix.tolist() == [[2.0, 0.0], [-1.0, 3.0]]
+
+
+def test_fit_overflow_is_numeric_error(tmp_path, capsys):
+    # the fitted 1e300 / 1e-320 is infinite, which no document may hold
+    doc = {"format": 1, "pairs": [{"source": [1e-320], "target": [1e300]}]}
+    io.save_doc(doc, tmp_path / "pairs.json")
+    code, out, err = run(capsys, "fit", "--pairs", str(tmp_path / "pairs.json"))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numeric error:") and err.count("\n") == 1
 
 
 def test_fit_unitary_outputs_orthogonal(tmp_path, capsys, rng):

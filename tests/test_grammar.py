@@ -229,17 +229,6 @@ def test_cup_enclosing_survivor_rejected():
         Reduction.from_cups(parse_type("a s a^r"), [(0, 2)])
 
 
-def test_wrong_survivor_order_rejected():
-    g = parse_type("a a")
-    with pytest.raises(InvalidReductionError):
-        Reduction(g, g, frozenset(), (1, 0))
-
-
-def test_survivors_must_spell_target():
-    with pytest.raises(InvalidReductionError):
-        Reduction(parse_type("a a"), parse_type("a"), frozenset(), (0, 1))
-
-
 # -- composition ----------------------------------------------------------------
 
 def test_compose_relabels_through_survivors():

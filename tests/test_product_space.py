@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from discotrans.errors import TypeMismatchError
-from discotrans.grammar import PregroupType, Reduction, parse_type
+from discotrans.grammar import (
+    PregroupType,
+    Reduction,
+    compose_reductions,
+    parse_type,
+    tensor_reductions,
+)
 from discotrans.product_space import (
     PSMorphism,
     PSObject,
@@ -32,11 +38,23 @@ def _random_obj(rng, model, g):
     return PSObject.of(make_tensor(model, g, rng.standard_normal(size)))
 
 
-def test_object_type_must_match_meaning():
-    model = LanguageModel("m", {"n": 2})
-    t = make_tensor(model, parse_type("n"), [1, 0])
-    with pytest.raises(TypeMismatchError):
-        PSObject(parse_type("s"), t)
+def test_survivors_target_and_type_are_derived():
+    # a reduction is its source and cups, an object is its meaning: the
+    # rest is derived, so no value can restate it inconsistently
+    g = parse_type("n n^r s n^l n")
+    r = Reduction(g, [(0, 1), (3, 4)])
+    assert (r.survivors, str(r.target)) == ((2,), "s")
+    assert r == Reduction.from_cups(g, [(3, 4), (0, 1)])
+    identity = Reduction.identity(g)
+    assert (identity.survivors, identity.target) == ((0, 1, 2, 3, 4), g)
+    first = Reduction.from_cups(g, [(0, 1)])
+    assert (first.survivors, str(first.target)) == ((2, 3, 4), "s n^l n")
+    composite = compose_reductions(Reduction(first.target, [(1, 2)]), first)
+    assert (composite.survivors, composite.target) == (r.survivors, r.target)
+    product = tensor_reductions(first, Reduction(parse_type("n n^r"), [(0, 1)]))
+    assert (product.survivors, str(product.target)) == ((2, 3, 4), "s n^l n")
+    t = make_tensor(LanguageModel("m", {"n": 2}), parse_type("n"), [1, 0])
+    assert PSObject(t).type is t.type
 
 
 def test_negative_distance_rejected():

@@ -582,6 +582,12 @@ def test_scaled_rotation_projects_to_rotation():
     assert np.allclose(nearest_unitary(3.0 * rot), rot, atol=1e-12)
 
 
+def test_huge_well_conditioned_matrix_projects():
+    # the rank cutoff s[0] * n * eps must not overflow on the way
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]])
+    assert np.allclose(nearest_unitary(1e308 * hadamard), hadamard / np.sqrt(2), atol=1e-12)
+
+
 def test_projection_output_is_orthogonal(rng):
     for _ in range(50):
         a = rng.standard_normal((4, 4))
