@@ -7,7 +7,9 @@ error (an input too large for memory and a type too long to search for
 reductions included), 3 numeric failure (any result that overflows
 float64 to infinity or NaN).  Structured output goes to stdout as JSON
 documents that the loaders can read back; numbers are printed with 12
-significant digits, and are always finite.
+significant digits, and are always finite.  A warning the library
+emits, such as an underdetermined fit, goes to stderr as one
+``warning:`` line and leaves the exit code alone.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -244,7 +247,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # overflow ends as a non-finite number, which no document may hold:
         # the command raises NonFiniteError instead of warning
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(
+                f"warning: {message}", file=sys.stderr
+            )
             code = args.func(args)
         sys.stdout.flush()
         return code

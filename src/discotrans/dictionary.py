@@ -14,9 +14,9 @@ types by the identity, or on the filter type by their first reduction;
 the source buckets land on the types the target side reached.  Both
 sides then take one row path: each (bucket, reduction) part contracts
 its whole stack once, and at each landing type the target rows are
-compared with every source part's rows, a block of rows at a time.  A
-stack is grown only for a bucket that some reduction leaves or lands
-on.  The kept pairs are collected as columns (source phrase, target
+compared with the rows of all the source parts, a block of rows at a
+time.  A stack is grown only for a bucket that some reduction leaves or
+lands on.  The kept pairs are collected as columns (source phrase, target
 phrase, reduction, distance) and ordered by one ``np.lexsort``.
 """
 
@@ -114,8 +114,13 @@ class DictionaryQuery:
             raise ValueError("threshold must be non-negative")
 
 
-def _candidate_count(lex: Lexicon, max_len: int) -> int:
+def _candidate_count(lex: Lexicon, max_len: int, cap: int) -> int:
+    """The number of phrases-with-senses up to ``max_len`` words or, when
+    that exceeds ``cap``, a smaller number that still exceeds it."""
     per_position = sum(len(senses) for senses in lex.entries.values())
+    if per_position > 1:
+        # the phrases of cap.bit_length() + 1 words alone outnumber cap
+        max_len = min(max_len, cap.bit_length() + 1)
     return sum(per_position**length for length in range(1, max_len + 1))
 
 
@@ -259,11 +264,11 @@ def build_dictionary(
             f"target lexicon uses model {lexB.model.name!r}, translation lands in "
             f"{t.target_model.name!r}"
         )
-    n_source = _candidate_count(lexA, q.max_source_len)
-    n_target = _candidate_count(lexB, q.max_target_len)
+    n_source = _candidate_count(lexA, q.max_source_len, q.max_pairs)
+    n_target = _candidate_count(lexB, q.max_target_len, q.max_pairs)
     if n_source * n_target > q.max_pairs:
         raise BudgetExceededError(
-            f"{n_source} x {n_target} phrase pairs exceed the cap of {q.max_pairs}; "
+            f"more than the cap of {q.max_pairs} phrase pairs; "
             "raise max_pairs or lower the length limits"
         )
     # overflow shows up as a non-finite distance, which is checked per block
@@ -288,27 +293,27 @@ def _build_table(
     # (source, target, reduction, distance) columns per block, after an empty one
     kept = [(no_rows, no_rows, no_rows, np.empty(0))]
     for h, landing in source_parts.items():
-        target, target_rows = _rows(targets, target_parts[h])
+        target, _, target_rows = _rows(targets, target_parts[h])
+        source, part, rows = _rows(sources, landing)
+        reduction = part + len(reductions)
+        reductions += [r for _, r in landing]
         step = max(1, _BLOCK_ELEMENTS // target_rows.size)
-        for g, r in landing:
-            numbers, stack = sources.bucket(g)
-            rows = _reduced_rows(r, stack)
-            reductions.append(r)
-            for start in range(0, len(rows), step):
-                source = numbers[start : start + step]
-                block = _distances(rows[start : start + step], target_rows)
-                finite = np.isfinite(block)
-                if not finite.all():
-                    i, j = np.argwhere(~finite)[0]
-                    raise NonFiniteError(
-                        f"distance from {' '.join(sources.labels[source[i]][0])} to "
-                        f"{' '.join(targets.labels[target[j]][0])} by {r} "
-                        f"is {block[i, j]}: the arithmetic overflows float64"
-                    )
-                kept_i, kept_j = np.nonzero(block <= limit)
-                if len(kept_i):
-                    reduction = np.full(len(kept_i), len(reductions) - 1)
-                    kept.append((source[kept_i], target[kept_j], reduction, block[kept_i, kept_j]))
+        for start in range(0, len(rows), step):
+            block = _distances(rows[start : start + step], target_rows)
+            finite = np.isfinite(block)
+            if not finite.all():
+                i, j = np.argwhere(~finite)[0]
+                row = start + i
+                raise NonFiniteError(
+                    f"distance from {' '.join(sources.labels[source[row]][0])} to "
+                    f"{' '.join(targets.labels[target[j]][0])} by {reductions[reduction[row]]} "
+                    f"is {block[i, j]}: the arithmetic overflows float64"
+                )
+            kept_i, kept_j = np.nonzero(block <= limit)
+            if len(kept_i):
+                distance = block[kept_i, kept_j]
+                kept_i += start
+                kept.append((source[kept_i], target[kept_j], reduction[kept_i], distance))
     source, target, reduction, distance = map(np.concatenate, zip(*kept))
     return _sorted_table(
         sources.labels, targets.labels, reductions, source, target, reduction, distance
@@ -338,12 +343,12 @@ def _landings(
 
 def _rows(
     buckets: _PhraseBuckets, parts: list[tuple[PregroupType, Reduction]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The phrase numbers and reduced rows of every (bucket type, reduction) part."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Phrase numbers, part indices and reduced rows of every (bucket type, reduction) part."""
     numbered = []
-    for g, r in parts:
+    for k, (g, r) in enumerate(parts):
         numbers, stack = buckets.bucket(g)
-        numbered.append((numbers, _reduced_rows(r, stack)))
+        numbered.append((numbers, np.full(len(numbers), k), _reduced_rows(r, stack)))
     return numbered[0] if len(numbered) == 1 else tuple(map(np.concatenate, zip(*numbered)))
 
 

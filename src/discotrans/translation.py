@@ -14,12 +14,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
-    InvalidReductionError,
     ModelMismatchError,
     NonFunctorialTranslationError,
     RankDeficientError,
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .grammar import PregroupType, Reduction, SimpleType
 from .lexicon import Lexicon
-from .product_space import PSMorphism, PSObject, _arrow
+from .product_space import PSMorphism, PSObject, _arrow, _check_endpoints
 from .semantics import LanguageModel, Tensor, space_shape
 
 
@@ -37,7 +37,8 @@ class Translation:
     """A grammar map plus per-basic-type meaning matrices.
 
     ``alpha[b]`` maps the source space of ``b`` (columns) into the
-    flattened target space of ``j[b]`` (rows).
+    flattened target space of ``j[b]`` (rows).  Both maps keep exactly the
+    source model's basic types; keys for any other type are dropped.
     """
 
     source_model: LanguageModel
@@ -46,15 +47,15 @@ class Translation:
     alpha: Mapping[str, np.ndarray]
 
     def __post_init__(self) -> None:
-        frozen_j = dict(self.j)
-        frozen_alpha = {}
-        for base in self.source_model.basics:
-            if base not in frozen_j:
+        frozen_j, frozen_alpha = {}, {}
+        for base in self.source_model.dims:
+            if base not in self.j:
                 raise UnknownBasicTypeError(
                     f"grammar map does not cover basic type {base!r}"
                 )
             if base not in self.alpha:
                 raise UnknownBasicTypeError(f"alpha has no matrix for basic type {base!r}")
+            frozen_j[base] = self.j[base]
             rows = math.prod(space_shape(self.target_model, frozen_j[base]))
             cols = self.source_model.dim(base)
             matrix = np.asarray(self.alpha[base], dtype=float)
@@ -75,14 +76,16 @@ def identity_translation(model: LanguageModel) -> Translation:
     return Translation(model, model, j, alpha)
 
 
+def _image(t: Translation, s: SimpleType) -> PregroupType:
+    """Image of a simple type: ``j`` of its base with the adjoint pushed through."""
+    if s.base not in t.j:
+        raise UnknownBasicTypeError(f"grammar map does not cover {s.base!r}")
+    return t.j[s.base].adjoint(s.z)
+
+
 def j_apply(t: Translation, g: PregroupType) -> PregroupType:
     """Image of a type: per-simple images with adjoints pushed through."""
-    simples: list[SimpleType] = []
-    for s in g.simples:
-        if s.base not in t.j:
-            raise UnknownBasicTypeError(f"grammar map does not cover {s.base!r}")
-        simples.extend(t.j[s.base].adjoint(s.z).simples)
-    return PregroupType(tuple(simples))
+    return PregroupType(tuple(x for s in g.simples for x in _image(t, s).simples))
 
 
 def _alpha_block(t: Translation, s: SimpleType) -> np.ndarray:
@@ -136,28 +139,21 @@ def translate_object(t: Translation, o: PSObject) -> PSObject:
 
 def translate_reduction(t: Translation, r: Reduction) -> Reduction:
     """Image of a reduction: each cup becomes a nest of cups pairing the
-    two image blocks inside out."""
-    lengths = [len(t.j[s.base]) for s in r.source.simples]
-    offsets = [0]
-    for length in lengths:
-        offsets.append(offsets[-1] + length)
-    cups = set()
-    for a, b in r.cups:
-        block = lengths[a]
-        for k in range(block):
-            cups.add((offsets[a] + k, offsets[b] + block - 1 - k))
-    image_source = j_apply(t, r.source)
-    try:
-        image = Reduction.from_cups(image_source, cups)
-    except InvalidReductionError as exc:
-        raise NonFunctorialTranslationError(
-            f"image of reduction '{r.source}' -> '{r.target}' is not a valid reduction: {exc}"
-        ) from exc
-    if image.target != j_apply(t, r.target):
-        raise NonFunctorialTranslationError(
-            f"image reduction lands in '{image.target}' instead of '{j_apply(t, r.target)}'"
-        )
-    return image
+    two image blocks inside out.
+
+    The image is always a valid reduction onto ``j_apply(t, r.target)``.
+    A cup joins ``(b, z)`` with ``(b, z+1)``.  Their images, the ``z``-th
+    and ``(z+1)``-th adjoints of the word ``j[b]``, are a word and its
+    right adjoint, so paired inside out they are cups.  Cups nested in the
+    source nest in the image, so it stays planar, and the image blocks of
+    the surviving simple types survive in order.
+    """
+    lengths = [len(_image(t, s)) for s in r.source.simples]
+    offsets = [0, *accumulate(lengths)]
+    cups = [
+        (offsets[a] + k, offsets[b + 1] - 1 - k) for a, b in r.cups for k in range(lengths[a])
+    ]
+    return Reduction(j_apply(t, r.source), cups)
 
 
 def translate_morphism(
@@ -165,10 +161,7 @@ def translate_morphism(
 ) -> PSMorphism:
     """Image arrow; its distance label is recomputed between the
     translated-and-reduced source and the translated target."""
-    if m.reduction.source != source.type or m.reduction.target != target.type:
-        raise TypeMismatchError(
-            f"morphism endpoints '{source.type}' -> '{target.type}' do not match its reduction"
-        )
+    _check_endpoints(m, source, target)
     image = translate_reduction(t, m.reduction)
     return _arrow(image, translate_object(t, source), translate_object(t, target))
 
@@ -186,10 +179,7 @@ def translate_lexicon(t: Translation, lex: Lexicon) -> Lexicon:
         images = []
         for obj in senses:
             image = translate_object(t, obj)
-            if not any(
-                image.type == seen.type and image.meaning == seen.meaning
-                for seen in images
-            ):
+            if not any(image.meaning == seen.meaning for seen in images):
                 images.append(image)
         entries[word] = tuple(images)
     return Lexicon(t.target_model, entries)
@@ -250,7 +240,7 @@ def check_naturality(
     """
     if not 0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be a finite non-negative number, got {tolerance}")
-    translate_reduction(t, r)  # raises NonFunctorialTranslationError
+    j_apply(t, r.source)  # raises UnknownBasicTypeError on an uncovered basic type
     alphas = [t.alpha[s.base] for s in r.source.simples]
     grams = [alphas[a].T @ alphas[a] for a, _ in r.cups]
     offs = [np.abs(g - np.diag(g.diagonal())).max() for g in grams]
@@ -348,30 +338,24 @@ def solve_generator_map(
     ``NonFunctorialTranslationError``.
     """
     images: dict[str, PregroupType] = {}
-    pending = [(g, h) for g, h in constraints]
+    pending = list(constraints)
     while pending:
-        progressed = False
-        deferred = []
-        for g, h in pending:
-            state = _apply_constraint(g, h, images)
-            if state == "solved":
-                progressed = True
-            else:
-                deferred.append((g, h))
-        pending = deferred
-        if pending and not progressed:
+        stuck = [(g, h) for g, h in pending if not _apply_constraint(g, h, images)]
+        if len(stuck) == len(pending):
             unknowns = sorted(
                 {s.base for g, _ in pending for s in g.simples if s.base not in images}
             )
             raise ValueError(
                 f"constraints leave generators {unknowns} underdetermined"
             )
+        pending = stuck
     return images
 
 
 def _apply_constraint(
     g: PregroupType, h: PregroupType, images: dict[str, PregroupType]
-) -> str:
+) -> bool:
+    """Apply one constraint to ``images``; False when it has two or more unknowns left."""
     remaining = list(g.simples)
     target = list(h.simples)
 
@@ -398,9 +382,9 @@ def _apply_constraint(
             raise NonFunctorialTranslationError(
                 f"images of '{g}' leave '{PregroupType(tuple(target))}' of '{h}' unaccounted for"
             )
-        return "solved"
+        return True
     if len(remaining) == 1:
         simple = remaining[0]
         images[simple.base] = PregroupType(tuple(target)).adjoint(-simple.z)
-        return "solved"
-    return "stuck"
+        return True
+    return False

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -319,6 +320,15 @@ def test_fit_overflow_is_numeric_error(tmp_path, capsys):
     assert err.startswith("numeric error:") and err.count("\n") == 1
 
 
+def test_underdetermined_fit_warns_on_one_line(tmp_path, capsys):
+    doc = {"format": 1, "pairs": [{"source": [1, 0], "target": [2, -1]}]}
+    io.save_doc(doc, tmp_path / "pairs.json")
+    code, out, err = run(capsys, "fit", "--pairs", str(tmp_path / "pairs.json"))
+    assert code == 0
+    assert io.matrix_from_doc(json.loads(out)).tolist() == [[2.0, 0.0], [-1.0, 0.0]]
+    assert err == "warning: fit is underdetermined; returning the minimal-norm solution\n"
+
+
 def test_fit_unitary_outputs_orthogonal(tmp_path, capsys, rng):
     truth = np.array([[0.0, -1.0], [1.0, 0.0]])
     pairs = []
@@ -398,6 +408,23 @@ def test_dict_nan_threshold_is_input_error(files, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_dict_budget_of_a_huge_length_cap_is_input_error(files, capsys):
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys,
+        "dict", "--lex-a", str(files / "aware.lex.json"),
+        "--lex-b", str(files / "blind.lex.json"),
+        "--translation", str(files / "collapse.json"),
+        "--max-source-len", "100000",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: more than the cap of 100000 phrase pairs; "
+        "raise max_pairs or lower the length limits\n"
+    )
 
 
 def test_dict_output_is_deterministic(files, capsys):

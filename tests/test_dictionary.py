@@ -570,6 +570,47 @@ def test_deep_query_searches_only_joined_pairs(monkeypatch, onto):
     assert len(table) > 0
 
 
+def test_landing_type_rows_in_one_block_are_one_distance_call(monkeypatch):
+    # two source parts land on "s": noun-verb pairs by one cup and
+    # noun-verb-noun phrases by two; their rows fit in one block, so the
+    # build compares them with the target rows in one call
+    rng = np.random.default_rng(3)
+    model = LanguageModel("m", {"x": 2, "s": 1})
+    lex_a = Lexicon(model, {
+        "n": _random_senses(rng, model, ["x", "x"]),
+        "i": _random_senses(rng, model, ["x^r s"]),
+        "v": _random_senses(rng, model, ["x^r s x^l"]),
+    })
+    lex_b = Lexicon(model, {"z": _random_senses(rng, model, ["s", "s"])})
+    t = identity_translation(model)
+    query = DictionaryQuery(max_source_len=3, max_target_len=1, max_pairs=10**6)
+    calls = []
+
+    def counted(source_rows, target_rows):
+        calls.append(len(source_rows))
+        return distances(source_rows, target_rows)
+
+    distances = dictionary._distances
+    monkeypatch.setattr(dictionary, "_distances", counted)
+    table = build_dictionary(lex_a, lex_b, t, query)
+    assert calls == [2 + 4]
+    assert len(table) == (2 + 4) * 2
+    assert {len(e.source_phrase.words) for e in table} == {2, 3}
+    # one row per block: the same table, from six calls
+    monkeypatch.setattr(dictionary, "_BLOCK_ELEMENTS", 1)
+    assert list(build_dictionary(lex_a, lex_b, t, query)) == list(table)
+    assert len(calls) == 1 + 6
+
+
+def test_budget_cap_is_exact():
+    lex_a, lex_b, t = _mini_pair()
+    pairs = (3 + 3**2) * (3 + 3**2)
+    query = DictionaryQuery(max_source_len=2, max_target_len=2, max_pairs=pairs)
+    assert len(build_dictionary(lex_a, lex_b, t, query)) > 0
+    with pytest.raises(BudgetExceededError, match=f"more than the cap of {pairs - 1} "):
+        build_dictionary(lex_a, lex_b, t, dataclasses.replace(query, max_pairs=pairs - 1))
+
+
 def test_identity_rows_are_a_view_of_the_stack():
     # a target bucket compared at its own type is not copied
     rng = np.random.default_rng(2)

@@ -34,6 +34,7 @@ from discotrans.translation import (
 )
 from conftest import random_word
 from oracles import (
+    all_reductions,
     alpha_matrix_by_kron,
     naturality_by_basis_probe,
     random_orthogonal,
@@ -73,6 +74,22 @@ def test_grammar_map_must_cover_all_basics(blind_model):
             j={"n": parse_type("n")},
             alpha={"n": np.eye(3)},
         )
+
+
+def test_extra_keys_are_dropped(blind_model):
+    source = LanguageModel("m", {"n": 3})
+    t = Translation(
+        source,
+        blind_model,
+        j={"n": parse_type("n"), "q": parse_type("s")},
+        alpha={"n": np.eye(3), "q": np.eye(1), "r": np.eye(1)},
+    )
+    assert set(t.j) == set(t.alpha) == {"n"}
+    for g in (parse_type("q"), parse_type("r")):
+        with pytest.raises(UnknownBasicTypeError):
+            j_apply(t, g)
+        with pytest.raises(UnknownBasicTypeError):
+            alpha_component(t, g, np.ones(1))
 
 
 def test_alpha_shape_checked(aware_model, blind_model):
@@ -262,6 +279,50 @@ def test_reduction_image_with_erased_generator():
     image = translate_reduction(t, r)
     assert image.is_identity
     assert str(image.source) == "s"
+
+
+_SIMPLES = st.tuples(st.sampled_from("abc"), st.integers(-2, 2))
+
+
+def _word(simples):
+    return PregroupType(tuple(SimpleType(b, z) for b, z in simples))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    images=st.fixed_dictionaries(
+        {b: st.lists(st.tuples(st.sampled_from("pq"), st.integers(-2, 2)), max_size=3)
+         for b in "abc"}
+    ),
+    left=st.lists(_SIMPLES, max_size=3),
+    nested=st.lists(_SIMPLES, max_size=3),
+    right=st.lists(_SIMPLES, max_size=3),
+)
+@example(images={"a": [], "b": [("p", 0)], "c": [("p", 1), ("q", -2)]},
+         left=[("c", 1)], nested=[("a", 0), ("c", 2)], right=[("b", -1), ("b", 0)])
+def test_every_reduction_image_is_a_reduction(images, left, nested, right):
+    # images: empty, one or several simple types with iterated adjoints;
+    # source words: a random word around a word followed by its right
+    # adjoint, so the reductions nest
+    source = LanguageModel("m", {b: 1 for b in "abc"})
+    target = LanguageModel("m2", {"p": 1, "q": 1})
+    t = Translation(source, target, {b: _word(w) for b, w in images.items()},
+                    {b: np.ones((1, 1)) for b in "abc"})
+    inner = _word(nested)
+    for r in all_reductions(_word(left) @ inner @ inner.right @ _word(right)):
+        image = translate_reduction(t, r)
+        assert isinstance(image, Reduction)
+        assert image.source == j_apply(t, r.source)
+        assert image.target == j_apply(t, r.target)
+        assert len(image.cups) == sum(len(t.j[r.source.simples[a].base]) for a, _ in r.cups)
+
+
+def test_uncovered_basic_type_is_unknown(collapse):
+    r = Reduction.from_cups(parse_type("q q^r s"), [(0, 1)])
+    with pytest.raises(UnknownBasicTypeError):
+        translate_reduction(collapse, r)
+    with pytest.raises(UnknownBasicTypeError):
+        check_naturality(collapse, r)
 
 
 def test_identity_morphism_translates_to_identity(collapse, wardrobe):
