@@ -34,13 +34,7 @@ from .errors import (
 from .grammar import parse_type, reduce_search
 from .lexicon import Lexicon, Phrase, phrase_meaning
 from .semantics import LanguageModel, normalize_sentence
-from .translation import (
-    Translation,
-    check_naturality,
-    fit_alpha,
-    nearest_unitary,
-    translate_lexicon,
-)
+from .translation import Translation, _image_lexicon, check_naturality, fit_alpha, nearest_unitary
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -64,14 +58,14 @@ def _print_doc(doc: dict) -> None:
 
 def _phrase(args) -> Phrase:
     senses = None
-    if getattr(args, "senses", None):
+    if args.senses is not None:
         senses = tuple(int(s) for s in args.senses.split(","))
     return Phrase(tuple(args.phrase.split()), senses)
 
 
 def cmd_parse(args) -> int:
     basics = None
-    if args.model:
+    if args.model is not None:
         basics = io.load_model(args.model).basics
     source = parse_type(args.source_type, basics)
     target = parse_type(args.target_type, basics)
@@ -87,7 +81,8 @@ def cmd_parse(args) -> int:
 
 def _meaning_of(lex: Lexicon, args, t: Translation | None = None) -> int:
     if t is not None:
-        lex = translate_lexicon(t, lex)
+        # unmerged, so --senses indexes the source lexicon's senses
+        lex = _image_lexicon(t, lex, lex.words)
     target = parse_type(args.target_type, lex.model.basics)
     tensor = phrase_meaning(lex, _phrase(args), target)
     # overflow shows up as a non-finite meaning, checked before
@@ -153,7 +148,7 @@ def cmd_dict(args) -> int:
     t = io.load_translation(args.translation)
     _same_models(lex_a.model, lex_b.model, t.source_model, t.target_model)
     type_filter = None
-    if args.target_type:
+    if args.target_type is not None:
         type_filter = parse_type(args.target_type, lex_b.model.basics)
     elif args.reduced_only:
         type_filter = parse_type("s", lex_b.model.basics)
@@ -201,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phrase", required=True)
     p.add_argument("--to", dest="target_type", required=True,
                    metavar="TYPE", help="target type in the target grammar")
-    p.add_argument("--senses", help="comma-separated per-word sense indices")
+    p.add_argument("--senses",
+                   help="comma-separated per-word sense indices into the source lexicon")
     p.add_argument("--normalize", action="store_true")
     p.set_defaults(func=cmd_translate)
 

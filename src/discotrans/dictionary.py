@@ -28,11 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, ModelMismatchError, NonFiniteError
+from .errors import BudgetExceededError, NonFiniteError
 from .grammar import PregroupType, Reduction, free_group_image, reduce_search
 from .lexicon import Lexicon, Phrase
 from .semantics import _contract
-from .translation import Translation, translate_object
+from .translation import Translation, _check_model, _image_lexicon
 
 # One block of the broadcast source-minus-target difference holds at most
 # this many float64 entries (rows x target phrases x row width), unless one
@@ -110,8 +110,13 @@ class DictionaryQuery:
     def __post_init__(self) -> None:
         if self.max_source_len < 1 or self.max_target_len < 1:
             raise ValueError("phrase length caps must be at least 1")
-        if self.threshold is not None and (self.threshold < 0 or math.isnan(self.threshold)):
-            raise ValueError("threshold must be non-negative")
+        if self.threshold is not None:
+            _check_threshold(self.threshold)
+
+
+def _check_threshold(k: float) -> None:
+    if not k >= 0:  # NaN fails every comparison
+        raise ValueError("threshold must be non-negative")
 
 
 def _candidate_count(lex: Lexicon, max_len: int, cap: int) -> int:
@@ -228,21 +233,6 @@ def _distances(source_rows: np.ndarray, target_rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
 
 
-def _image_lexicon(t: Translation, lex: Lexicon, words) -> Lexicon:
-    """Each sense of each word translated once, in sense order.
-
-    Unlike ``translate_lexicon`` nothing is merged, so sense indices
-    still refer to the source lexicon.  Phrases built from these images
-    equal the translated phrases because a translation is monoidal, and
-    a pushed-through target phrase is then bitwise equal to its source
-    image, keeping its distance exactly 0.
-    """
-    return Lexicon(
-        t.target_model,
-        {w: tuple(translate_object(t, obj) for obj in lex.senses(w)) for w in words},
-    )
-
-
 def build_dictionary(
     lexA: Lexicon, lexB: Lexicon, t: Translation, q: DictionaryQuery
 ) -> DictionaryTable:
@@ -254,16 +244,8 @@ def build_dictionary(
     (when given) are dropped; rows are sorted by (distance, phrases).
     Raises ``NonFiniteError`` when a distance overflows to inf or NaN.
     """
-    if lexA.model != t.source_model:
-        raise ModelMismatchError(
-            f"source lexicon uses model {lexA.model.name!r}, translation starts at "
-            f"{t.source_model.name!r}"
-        )
-    if lexB.model != t.target_model:
-        raise ModelMismatchError(
-            f"target lexicon uses model {lexB.model.name!r}, translation lands in "
-            f"{t.target_model.name!r}"
-        )
+    _check_model(lexA, t.source_model)
+    _check_model(lexB, t.target_model)
     n_source = _candidate_count(lexA, q.max_source_len, q.max_pairs)
     n_target = _candidate_count(lexB, q.max_target_len, q.max_pairs)
     if n_source * n_target > q.max_pairs:
@@ -398,7 +380,6 @@ def _ranks(keys: list) -> np.ndarray:
 
 def threshold_relation(entries: Iterable[DictionaryEntry], k: float) -> list[DictionaryEntry]:
     """Keep entries at distance <= k, preserving order."""
-    if k < 0 or math.isnan(k):
-        raise ValueError("threshold must be non-negative")
+    _check_threshold(k)
     return [e for e in entries if e.distance <= k]
 

@@ -54,10 +54,7 @@ def ps_morphism(
 ) -> PSMorphism:
     """The unique arrow along r: its label measures how far the reduced
     source meaning lands from the target meaning."""
-    if source.type != r.source:
-        raise TypeMismatchError(f"source object has type '{source.type}', reduction starts at '{r.source}'")
-    if target.type != r.target:
-        raise TypeMismatchError(f"target object has type '{target.type}', reduction ends at '{r.target}'")
+    _check_endpoints(r, source, target)
     image = apply_reduction(model, r, source.meaning)
     return PSMorphism(r, frobenius_distance(image.array, target.meaning.array))
 
@@ -66,8 +63,8 @@ def ps_compose(
     m2: PSMorphism, m1: PSMorphism, first: PSObject, middle: PSObject, last: PSObject
 ) -> PSMorphism:
     """Composite arrow; the label is recomputed between the outer endpoints."""
-    _check_endpoints(m1, first, middle)
-    _check_endpoints(m2, middle, last)
+    _check_endpoints(m1.reduction, first, middle)
+    _check_endpoints(m2.reduction, middle, last)
     return _arrow(compose_reductions(m2.reduction, m1.reduction), first, last)
 
 
@@ -85,8 +82,8 @@ def ps_tensor_morphism(
     target2: PSObject,
 ) -> PSMorphism:
     """Side-by-side product of arrows, label recomputed on the product endpoints."""
-    _check_endpoints(m1, source1, target1)
-    _check_endpoints(m2, source2, target2)
+    _check_endpoints(m1.reduction, source1, target1)
+    _check_endpoints(m2.reduction, source2, target2)
     product = tensor_reductions(m1.reduction, m2.reduction)
     return _arrow(product, ps_tensor(source1, source2), ps_tensor(target1, target2))
 
@@ -98,9 +95,11 @@ def _arrow(r: Reduction, source: PSObject, target: PSObject) -> PSMorphism:
     return PSMorphism(r, frobenius_distance(image, target.meaning.array))
 
 
-def _check_endpoints(m: PSMorphism, source: PSObject, target: PSObject) -> None:
-    if m.reduction.source != source.type or m.reduction.target != target.type:
+def _check_endpoints(r: Reduction, source: PSObject, target: PSObject) -> None:
+    """An arrow along ``r`` runs from an object of ``r``'s source type to
+    one of its target type."""
+    if r.source != source.type or r.target != target.type:
         raise TypeMismatchError(
-            f"morphism {m.reduction.source} -> {m.reduction.target} does not fit "
+            f"reduction '{r.source}' -> '{r.target}' does not fit "
             f"endpoints '{source.type}' -> '{target.type}'"
         )

@@ -161,28 +161,47 @@ def translate_morphism(
 ) -> PSMorphism:
     """Image arrow; its distance label is recomputed between the
     translated-and-reduced source and the translated target."""
-    _check_endpoints(m, source, target)
+    _check_endpoints(m.reduction, source, target)
     image = translate_reduction(t, m.reduction)
     return _arrow(image, translate_object(t, source), translate_object(t, target))
+
+
+def _check_model(lex: Lexicon, model: LanguageModel) -> None:
+    """A lexicon meets a translation only at the model the translation
+    starts at (source side) or lands in (target side)."""
+    if lex.model != model:
+        raise ModelMismatchError(
+            f"lexicon uses model {lex.model.name!r}, the translation needs {model.name!r}"
+        )
+
+
+def _image_lexicon(t: Translation, lex: Lexicon, words, merge: bool = False) -> Lexicon:
+    """Each sense of each of ``words`` translated once, in sense order.
+
+    Without ``merge`` sense indices still refer to the source lexicon.
+    Phrases built from these images equal the translated phrases because
+    a translation is monoidal, and a pushed-through target phrase is then
+    bitwise equal to its source image, keeping its distance exactly 0.
+    With ``merge`` an image equal to an earlier image of the same word is
+    dropped; equal images share a type, so the first sense of each type
+    is still there.
+    """
+    _check_model(lex, t.source_model)
+    entries = {}
+    for word in words:
+        images: list[PSObject] = []
+        for obj in lex.senses(word):
+            image = translate_object(t, obj)
+            if not (merge and any(image.meaning == seen.meaning for seen in images)):
+                images.append(image)
+        entries[word] = tuple(images)
+    return Lexicon(t.target_model, entries)
 
 
 def translate_lexicon(t: Translation, lex: Lexicon) -> Lexicon:
     """Push a whole lexicon through a translation, dropping senses whose
     images coincide."""
-    if lex.model != t.source_model:
-        raise ModelMismatchError(
-            f"lexicon uses model {lex.model.name!r}, translation starts at "
-            f"{t.source_model.name!r}"
-        )
-    entries = {}
-    for word, senses in lex.entries.items():
-        images = []
-        for obj in senses:
-            image = translate_object(t, obj)
-            if not any(image.meaning == seen.meaning for seen in images):
-                images.append(image)
-        entries[word] = tuple(images)
-    return Lexicon(t.target_model, entries)
+    return _image_lexicon(t, lex, lex.entries, merge=True)
 
 
 def compose_translations(t2: Translation, t1: Translation) -> Translation:

@@ -14,10 +14,11 @@ from discotrans.cli import main
 from discotrans.demo import DROP_QUANTITY, collapse_number_translation, wardrobe_lexicon
 from discotrans.dictionary import DictionaryQuery, build_dictionary
 from discotrans.grammar import parse_type
-from discotrans.lexicon import Lexicon
+from discotrans.lexicon import Lexicon, Phrase, phrase_meaning
 from discotrans.product_space import PSObject
 from discotrans.semantics import LanguageModel, make_tensor
 from discotrans.translation import Translation, identity_translation, translate_lexicon
+from oracles import image_lexicon
 from test_dictionary import _random_bucket_pair, overflow_pair
 
 
@@ -175,6 +176,39 @@ def test_translated_sentences_collapse(files, capsys):
         )
         assert code == 0
         assert json.loads(out)["data"] == [0.0]
+
+
+@pytest.mark.parametrize("senses", [(0, 1, 0), (0, 3, 0)])
+def test_translate_senses_index_the_source_lexicon(files, capsys, senses):
+    # "wears" has four source senses and one merged image: the pin still
+    # names source senses, as for meaning and dict; (0, 3, 0) reduces only
+    # once the translation has forgotten number
+    code, out, err = run(
+        capsys,
+        "translate", "--translation", str(files / "collapse.json"),
+        "--lex", str(files / "aware.lex.json"),
+        "--phrase", "Rosie wears boots", "--to", "s",
+        "--senses", ",".join(map(str, senses)),
+    )
+    assert (code, err) == (0, "")
+    images = image_lexicon(collapse_number_translation(), wardrobe_lexicon())
+    phrase = Phrase(("Rosie", "wears", "boots"), senses)
+    assert json.loads(out) == io.tensor_to_doc(phrase_meaning(images, phrase, parse_type("s")))
+
+
+@pytest.mark.parametrize("argv", [
+    ["meaning", "--senses", ""],
+    ["translate", "--translation", "{files}/collapse.json", "--senses", ""],
+    ["parse", "--model", "", "--from", "n", "--to", "n"],
+], ids=["meaning-senses", "translate-senses", "parse-model"])
+def test_empty_optional_argument_is_input_error(files, capsys, argv):
+    # an empty value is given, not absent: it must not fall back to the default
+    if argv[0] != "parse":
+        argv = [*argv, "--lex", str(files / "aware.lex.json"),
+                "--phrase", "Rosie wears boots", "--to", "s"]
+    code, out, err = run(capsys, *(a.format(files=files) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_meaning_output_reloads(files, capsys):
@@ -395,6 +429,18 @@ def test_dict_empty_result_is_negative(files, tmp_path, capsys):
     )
     assert code == 1
     assert out == ""
+
+
+def test_dict_to_the_empty_type_filters_onto_the_unit(files, capsys):
+    # "" parses as the unit type, and no demo phrase reduces onto it
+    code, out, err = run(
+        capsys,
+        "dict", "--lex-a", str(files / "aware.lex.json"),
+        "--lex-b", str(files / "blind.lex.json"),
+        "--translation", str(files / "collapse.json"),
+        "--max-source-len", "3", "--max-target-len", "3", "--to", "",
+    )
+    assert (code, out, err) == (1, "", "")
 
 
 def test_dict_nan_threshold_is_input_error(files, capsys):

@@ -320,6 +320,17 @@ def test_query_rejects_nan_threshold():
         DictionaryQuery(threshold=math.nan)
 
 
+@pytest.mark.parametrize("k", [-1.0, math.nan])
+@pytest.mark.parametrize("caller", ["DictionaryQuery", "threshold_relation"])
+def test_threshold_rule_has_one_wording(caller, k):
+    with pytest.raises(ValueError) as caught:
+        if caller == "DictionaryQuery":
+            DictionaryQuery(threshold=k)
+        else:
+            threshold_relation([], k)
+    assert str(caught.value) == "threshold must be non-negative"
+
+
 # -- type buckets -------------------------------------------------------------------
 
 _WORD_TYPES = ("x", "x x", "x^r s", "x x^l", "x^r s x^l", "s")

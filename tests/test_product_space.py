@@ -25,6 +25,7 @@ from discotrans.semantics import (
     space_shape,
     unit_scalar,
 )
+from discotrans.translation import identity_translation, translate_morphism
 from conftest import random_model, random_word
 from oracles import random_reduction
 
@@ -92,6 +93,33 @@ def test_morphism_endpoint_types_checked():
     obj = _obj(model, "n", [1, 0])
     with pytest.raises(TypeMismatchError):
         ps_morphism(model, obj, Reduction.identity(parse_type("n n")), obj)
+
+
+@pytest.mark.parametrize("caller", [
+    "ps_morphism", "ps_compose", "ps_tensor_morphism", "translate_morphism",
+])
+def test_endpoint_mismatch_has_one_wording(caller):
+    model = LanguageModel("m", {"n": 2})
+    a, aa = _obj(model, "n", [1, 0]), _obj(model, "n n", [1, 0, 0, 1])
+    m = PSMorphism(Reduction.identity(parse_type("n")), 0.0)
+    with pytest.raises(TypeMismatchError) as caught:
+        if caller == "ps_morphism":
+            ps_morphism(model, aa, m.reduction, a)
+        elif caller == "ps_compose":
+            ps_compose(m, m, a, aa, a)
+        elif caller == "ps_tensor_morphism":
+            ps_tensor_morphism(m, m, a, a, a, aa)
+        else:
+            translate_morphism(identity_translation(model), m, aa, a)
+    ends = ("'n n' -> 'n'", "'n' -> 'n n'")[caller in ("ps_compose", "ps_tensor_morphism")]
+    assert str(caught.value) == f"reduction 'n' -> 'n' does not fit endpoints {ends}"
+
+
+def test_morphism_checks_the_meaning_shape_against_the_model():
+    # the endpoint types fit, but the meaning belongs to another model
+    wide = _obj(LanguageModel("wide", {"n": 3}), "n", [1, 0, 0])
+    with pytest.raises(TypeMismatchError, match="does not match model 'm'"):
+        ps_morphism(LanguageModel("m", {"n": 2}), wide, Reduction.identity(wide.type), wide)
 
 
 # -- composition -------------------------------------------------------------------

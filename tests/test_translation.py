@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from discotrans.demo import collapse_number_translation
+from discotrans.dictionary import DictionaryQuery, build_dictionary
 from discotrans.errors import (
     ModelMismatchError,
     NonFunctorialTranslationError,
@@ -15,6 +16,7 @@ from discotrans.errors import (
     UnknownBasicTypeError,
 )
 from discotrans.grammar import PregroupType, Reduction, SimpleType, parse_type
+from discotrans.lexicon import Lexicon
 from discotrans.product_space import PSObject, ps_morphism, ps_tensor
 from discotrans.semantics import LanguageModel, apply_reduction, make_tensor, space_shape
 from discotrans.translation import (
@@ -36,6 +38,7 @@ from conftest import random_word
 from oracles import (
     all_reductions,
     alpha_matrix_by_kron,
+    image_lexicon,
     naturality_by_basis_probe,
     random_orthogonal,
     random_reduction,
@@ -243,6 +246,48 @@ def test_translate_lexicon_model_mismatch(collapse, blind_model):
     )
     with pytest.raises(ModelMismatchError):
         translate_lexicon(collapse, lex)
+
+
+@pytest.mark.parametrize("case", ["demo", "random"])
+def test_translate_lexicon_is_the_merged_per_sense_image(case, collapse, wardrobe, rng):
+    if case == "demo":
+        t, lex = collapse, wardrobe
+    else:
+        source = LanguageModel("r", {"x": 2, "y": 3})
+        t = _random_translation(rng, source, LanguageModel("r2", {"x": 2, "y": 2}))
+        entries = {}
+        for word in ("d", "a", "c", "b"):
+            senses = [_random_obj(rng, source, random_word(rng, max_len=3)) for _ in range(3)]
+            senses.insert(int(rng.integers(4)), senses[int(rng.integers(3))])
+            entries[word] = senses
+        lex = Lexicon(source, entries)
+    merged = {}
+    for word, images in image_lexicon(t, lex).entries.items():
+        kept = merged[word] = []
+        for image in images:
+            if not any(image.meaning == seen.meaning for seen in kept):
+                kept.append(image)
+    got = translate_lexicon(t, lex)
+    assert list(got.entries) == list(lex.entries)
+    assert any(len(got.entries[w]) < len(lex.entries[w]) for w in lex.entries)
+
+    def bits(objs):
+        return [(o.type, o.meaning.array.dtype, o.meaning.array.tobytes()) for o in objs]
+
+    assert all(bits(got.entries[w]) == bits(merged[w]) for w in lex.entries)
+
+
+@pytest.mark.parametrize("caller", ["translate_lexicon", "dictionary source", "dictionary target"])
+def test_lexicon_model_mismatch_has_one_wording(caller, collapse, wardrobe):
+    blind = translate_lexicon(collapse, wardrobe)
+    lex, wants = (wardrobe, "number-blind") if caller == "dictionary target" else (blind, "number-aware")
+    uses = lex.model.name
+    with pytest.raises(ModelMismatchError) as caught:
+        if caller == "translate_lexicon":
+            translate_lexicon(collapse, lex)
+        else:
+            build_dictionary(lex, lex, collapse, DictionaryQuery())
+    assert str(caught.value) == f"lexicon uses model {uses!r}, the translation needs {wants!r}"
 
 
 # -- reductions and morphisms ------------------------------------------------------------
