@@ -56,17 +56,29 @@ def _print_doc(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
 
 
+def _load(load, args, option: str):
+    """The file that ``--option`` names, read by ``load``; a file that
+    cannot be read is reported with the option and the path given."""
+    path = getattr(args, option.replace("-", "_"))
+    try:
+        return load(path)
+    except OSError as exc:
+        reason = exc.strerror if exc.filename == path else exc
+        raise OSError(f"--{option} {path!r}: {reason}") from None
+
+
 def _phrase(args) -> Phrase:
-    senses = None
-    if args.senses is not None:
-        senses = tuple(int(s) for s in args.senses.split(","))
+    senses = args.senses
+    if senses is not None:
+        try:
+            senses = tuple(int(s) for s in senses.split(","))
+        except ValueError:
+            raise ValueError(f"--senses takes comma-separated indices, got {senses!r}") from None
     return Phrase(tuple(args.phrase.split()), senses)
 
 
 def cmd_parse(args) -> int:
-    basics = None
-    if args.model is not None:
-        basics = io.load_model(args.model).basics
+    basics = None if args.model is None else _load(io.load_model, args, "model").basics
     source = parse_type(args.source_type, basics)
     target = parse_type(args.target_type, basics)
     found = reduce_search(source, target, args.max)
@@ -99,18 +111,18 @@ def _meaning_of(lex: Lexicon, args, t: Translation | None = None) -> int:
 
 
 def cmd_meaning(args) -> int:
-    return _meaning_of(io.load_lexicon(args.lex), args)
+    return _meaning_of(_load(io.load_lexicon, args, "lex"), args)
 
 
 def cmd_translate(args) -> int:
-    lex = io.load_lexicon(args.lex)
-    t = io.load_translation(args.translation)
+    lex = _load(io.load_lexicon, args, "lex")
+    t = _load(io.load_translation, args, "translation")
     _same_models(lex.model, t.source_model, t.target_model)
     return _meaning_of(lex, args, t)
 
 
 def cmd_check(args) -> int:
-    t = io.load_translation(args.translation)
+    t = _load(io.load_translation, args, "translation")
     _same_models(t.source_model, t.target_model)
     source = parse_type(args.source_type, t.source_model.basics)
     target = parse_type(args.target_type, t.source_model.basics)
@@ -131,27 +143,24 @@ def cmd_check(args) -> int:
 
 
 def cmd_procrustes(args) -> int:
-    matrix = io.load_matrix(args.matrix)
+    matrix = _load(io.load_matrix, args, "matrix")
     _print_doc(io.matrix_to_doc(nearest_unitary(matrix)))
     return EXIT_OK
 
 
 def cmd_fit(args) -> int:
-    pairs = io.load_pairs(args.pairs)
+    pairs = _load(io.load_pairs, args, "pairs")
     _print_doc(io.matrix_to_doc(fit_alpha(pairs, unitary=args.unitary)))
     return EXIT_OK
 
 
 def cmd_dict(args) -> int:
-    lex_a = io.load_lexicon(args.lex_a)
-    lex_b = io.load_lexicon(args.lex_b)
-    t = io.load_translation(args.translation)
+    lex_a = _load(io.load_lexicon, args, "lex-a")
+    lex_b = _load(io.load_lexicon, args, "lex-b")
+    t = _load(io.load_translation, args, "translation")
     _same_models(lex_a.model, lex_b.model, t.source_model, t.target_model)
-    type_filter = None
-    if args.target_type is not None:
-        type_filter = parse_type(args.target_type, lex_b.model.basics)
-    elif args.reduced_only:
-        type_filter = parse_type("s", lex_b.model.basics)
+    onto = "s" if args.reduced_only and args.target_type is None else args.target_type
+    type_filter = None if onto is None else parse_type(onto, lex_b.model.basics)
     query = DictionaryQuery(
         max_source_len=args.max_source_len,
         max_target_len=args.max_target_len,

@@ -204,21 +204,12 @@ def _grow(prefixes: np.ndarray, words: np.ndarray) -> np.ndarray:
 def _reduced_rows(r: Reduction, stack: np.ndarray) -> np.ndarray:
     """``r`` applied to every phrase of a stack, one flattened row each.
 
-    The stack's batch axis is handed to ``_contract`` as its trailing
-    pass-through axis but stays outermost in memory, so the sums within
-    a row do not depend on how many rows there are.  A lone phrase is
-    stacked twice: numpy sums a single full reduction in another order
-    than a batch, and a pushed-through pair is exactly 0 only when both
-    sides went through the same arithmetic.  The identity contracts
-    nothing, so its rows of two or more phrases are a view of the stack.
+    The stack's batch axis leads, and ``_contract`` sums each row in an
+    order fixed by ``r`` alone, so a phrase has the same row alone as in
+    any stack, and a pushed-through pair is exactly 0.  The identity
+    contracts nothing, so its rows are a view of the stack.
     """
-    n = len(stack)
-    if n == 1:
-        stack = np.concatenate([stack, stack])
-    # ``transpose`` is ``np.moveaxis`` without its argument checks, which
-    # take longer than contracting a small stack
-    out = _contract(r, stack.transpose(*range(1, stack.ndim), 0))
-    return out.transpose(-1, *range(out.ndim - 1)).reshape(len(stack), -1)[:n]
+    return _contract(r, stack).reshape(len(stack), -1)
 
 
 def _distances(source_rows: np.ndarray, target_rows: np.ndarray) -> np.ndarray:

@@ -378,7 +378,6 @@ def _render(
 # -- path-level helpers -------------------------------------------------------
 
 def _load_json(path) -> dict:
-    path = Path(path)
     try:
         with open(path) as handle:
             return json.load(handle)

@@ -9,18 +9,12 @@ axis pair against the canonical dot product.
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import TypeMismatchError, UnknownBasicTypeError
 from .grammar import PregroupType, Reduction
-
-_AXIS_LETTERS = string.ascii_lowercase + string.ascii_uppercase
-# (cups, survivors, operand ranks) keys whose einsum subscripts are kept
-_SUBSCRIPT_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -133,47 +127,67 @@ def tensor_product(u: Tensor, v: Tensor) -> Tensor:
 
 
 def _contract(r: Reduction, *arrays: np.ndarray) -> np.ndarray:
-    """Apply a reduction's cups as dot-product contractions, in one einsum.
+    """Apply a reduction's cups as dot-product contractions, in a fixed order.
 
     The operands carry ``r.source``'s axes in order: one phrase tensor,
     or several factors side by side (word tensors) whose outer product
-    is then never formed.  Each operand may carry the same number of
-    trailing axes beyond its share of the source; these pass through,
-    after the survivors, operand by operand.
+    is then never formed whole.  Each operand may lead with the same
+    number of batch axes; these lead the result, operand by operand,
+    before the survivors.
+
+    Operands join left to right by outer product.  The cups whose right
+    end lies in the newest operand become diagonal views, and are then
+    summed innermost first, each over its index in ascending order, by
+    elementwise adds alone.  So an entry's bits depend only on its own
+    operands and the reduction, never on the batch size or the memory
+    layout.  The identity on one operand returns that operand.
     """
-    subscripts = _subscripts(r.cups, r.survivors, tuple(a.ndim for a in arrays))
-    return np.einsum(subscripts, *arrays, optimize="greedy" if len(arrays) > 1 else False)
+    ranks = [a.ndim for a in arrays]
+    extra, rest = divmod(sum(ranks) - len(r.source), len(arrays))
+    # every operand leads with ``extra`` batch axes, and each cup joins two
+    # axes of one size
+    sizes = [d for a in arrays for d in a.shape[extra:]]
+    if extra < 0 or rest or min(ranks) < extra or any(sizes[i] != sizes[j] for i, j in r.cups):
+        shapes = [a.shape for a in arrays]
+        raise TypeMismatchError(f"operands of shapes {shapes} cannot carry type '{r.source}'")
+    left_end = {j: i for i, j in r.cups}
+    # ``opened`` holds the source indices of out's axes after its batch axes
+    out, batch, opened, start = arrays[0], extra, [], 0
+    for n, a in enumerate(arrays):
+        if n:
+            # the newest operand's batch axes join the others in front
+            k, joined = out.ndim, np.multiply.outer(out, a)
+            out = np.moveaxis(joined, range(k, k + extra), range(batch, batch + extra))
+            batch += extra
+        stop = start + a.ndim - extra
+        opened += range(start, stop)
+        closed = [(left_end[j], j) for j in range(start, stop) if j in left_end]
+        for i, j in closed:
+            out = out.diagonal(0, batch + opened.index(i), batch + opened.index(j))
+            opened.remove(i)
+            opened.remove(j)
+        for _ in closed:
+            out = _ascending_sum(out, batch + len(opened))
+        start = stop
+    return out
 
 
-@lru_cache(maxsize=_SUBSCRIPT_CACHE_SIZE)
-def _subscripts(
-    cups: frozenset[tuple[int, int]], survivors: tuple[int, ...], ranks: tuple[int, ...]
-) -> str:
-    """``_contract``'s einsum subscripts, one label per cup, survivor and
-    pass-through axis, numbered left to right."""
-    n = 2 * len(cups) + len(survivors)
-    extra, rest = divmod(sum(ranks) - n, len(ranks))
-    if extra < 0 or rest or min(ranks) < extra:
-        raise TypeMismatchError(
-            f"operands of ranks {list(ranks)} cannot carry a source word of length {n}"
-        )
-    if len(cups) + len(survivors) + extra * len(ranks) > len(_AXIS_LETTERS):
-        raise TypeMismatchError("too many axes for contraction")
-    letters = iter(_AXIS_LETTERS)
-    partner = dict(cups)
-    label = [""] * n
-    for k in range(n):
-        if not label[k]:
-            label[k] = next(letters)
-            if k in partner:
-                label[partner[k]] = label[k]
-    inputs, out, start = [], [label[k] for k in survivors], 0
-    for rank in ranks:
-        passed = [next(letters) for _ in range(extra)]
-        inputs.append("".join(label[start : start + rank - extra] + passed))
-        out += passed
-        start += rank - extra
-    return ",".join(inputs) + "->" + "".join(out)
+def _ascending_sum(x: np.ndarray, axis: int) -> np.ndarray:
+    """The sum of ``x`` over one axis, in ascending index order.
+
+    Both ways give the same bits.  ``np.add.accumulate`` costs a step
+    per lane and an add costs a call per index, so the sum takes one
+    accumulate when there are at most 16 lanes per index, else one add
+    per index.
+    """
+    x = x.transpose(axis, *range(axis), *range(axis + 1, x.ndim))
+    if x[0].size <= 16 * len(x):
+        # copied, so the result does not keep every partial sum alive
+        return np.add.accumulate(x)[-1].copy()
+    total = x[0]
+    for k in range(1, len(x)):
+        total = total + x[k]
+    return total
 
 
 def apply_reduction(model: LanguageModel, r: Reduction, t: Tensor) -> Tensor:
@@ -187,8 +201,8 @@ def apply_reduction(model: LanguageModel, r: Reduction, t: Tensor) -> Tensor:
             f"tensor shape {list(t.shape)} does not match model "
             f"{model.name!r} shape {space_shape(model, r.source)}"
         )
-    # an identity reduction gives a view of t's frozen array, adopted as
-    # it is: neither tensor can be written to
+    # an identity reduction gives t's own frozen array, adopted as it is:
+    # neither tensor can write to it
     return Tensor._adopt(r.target, _contract(r, t.array))
 
 

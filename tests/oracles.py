@@ -144,13 +144,12 @@ def naturality_by_basis_probe(
     size = math.prod(src_shape)
     alpha_src = alpha_matrix_by_kron(t, r.source)
     alpha_tgt = alpha_matrix_by_kron(t, r.target)
-    basis = np.eye(size).reshape(*src_shape, size)
-    reduced_first = alpha_tgt @ _contract(r, basis).reshape(-1, size)
+    # one basis vector per row, the batch axis leading
+    basis = np.eye(size).reshape(size, *src_shape)
+    reduced_first = _contract(r, basis).reshape(size, -1) @ alpha_tgt.T
     image_shape = space_shape(t.target_model, image.source)
-    translated_first = _contract(
-        image, alpha_src.reshape(*image_shape, size)
-    ).reshape(-1, size)
-    residuals = np.linalg.norm(reduced_first - translated_first, axis=0)
+    translated_first = _contract(image, alpha_src.T.reshape(size, *image_shape)).reshape(size, -1)
+    residuals = np.linalg.norm(reduced_first - translated_first, axis=1)
     max_residual = float(residuals.max()) if residuals.size else 0.0
     return NaturalityReport(max_residual, max_residual <= tolerance, tolerance, size)
 
@@ -190,7 +189,7 @@ def dictionary_by_brute_force(lex_a, lex_b, t, q) -> list[DictionaryEntry]:
     """Definition-level dictionary enumeration.
 
     Uses the elimination search and the explicit reduction matrices
-    instead of the library's first-cup search and einsum contraction.
+    instead of the library's first-cup search and contraction kernel.
     Translated phrases are built word by word: each source word sense is
     translated once and phrases are products of the images, which equals
     translating the whole phrase because the translation is monoidal.

@@ -211,6 +211,56 @@ def test_empty_optional_argument_is_input_error(files, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["meaning", "translate"])
+@pytest.mark.parametrize("senses", ["0,x,0", "", "0,,0", "0,1.0,0"])
+def test_malformed_senses_name_the_option_and_the_value(files, capsys, command, senses):
+    argv = [command, "--lex", str(files / "aware.lex.json"), "--phrase", "Rosie wears boots",
+            "--to", "s", "--senses", senses]
+    if command == "translate":
+        argv += ["--translation", str(files / "collapse.json")]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: --senses takes comma-separated indices, got {senses!r}\n"
+
+
+_AWARE, _BLIND = "{files}/aware.lex.json", "{files}/blind.lex.json"
+_COLLAPSE = "{files}/collapse.json"
+
+
+@pytest.mark.parametrize("option, argv", [
+    ("model", ["parse", "--from", "n", "--to", "n"]),
+    ("lex", ["meaning", "--phrase", "Rosie", "--to", "n_s"]),
+    ("translation", ["translate", "--lex", _AWARE, "--phrase", "Rosie", "--to", "n"]),
+    ("translation", ["check", "--from", "n_s", "--to", "n_s"]),
+    ("lex-a", ["dict", "--lex-b", _BLIND, "--translation", _COLLAPSE]),
+    ("lex-b", ["dict", "--lex-a", _AWARE, "--translation", _COLLAPSE]),
+    ("matrix", ["procrustes"]),
+    ("pairs", ["fit"]),
+])
+@pytest.mark.parametrize("path, reason", [
+    ("", "No such file or directory"),
+    ("{files}", "Is a directory"),
+])
+def test_an_unreadable_file_names_the_option_and_the_path(
+    files, capsys, option, argv, path, reason
+):
+    # an empty path is not the current directory
+    path = path.format(files=files)
+    code, out, err = run(capsys, *(a.format(files=files) for a in argv), f"--{option}", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: --{option} {path!r}: {reason}\n"
+
+
+def test_an_unreadable_model_reference_names_the_option_and_the_file(files, capsys):
+    doc = io.lexicon_to_doc(wardrobe_lexicon(), model_ref="missing.model.json")
+    io.save_doc(doc, files / "referring.lex.json")
+    lex = str(files / "referring.lex.json")
+    code, out, err = run(capsys, "meaning", "--lex", lex, "--phrase", "Rosie", "--to", "n_s")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: --lex {lex!r}: ") and err.count("\n") == 1
+    assert str(files / "missing.model.json") in err
+
+
 def test_meaning_output_reloads(files, capsys):
     code, out, _ = run(
         capsys,

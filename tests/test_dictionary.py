@@ -24,6 +24,7 @@ from discotrans.product_space import PSObject, frobenius_distance
 from discotrans.semantics import LanguageModel, make_tensor, space_shape
 from discotrans.translation import (
     Translation,
+    compose_translations,
     identity_translation,
     translate_lexicon,
     translate_object,
@@ -405,6 +406,101 @@ def test_bucketed_build_matches_brute_force(seed):
         # every bucket pair joined: the join skips only pairs that cannot reduce
         mp.setattr(dictionary, "free_group_image", lambda g: ())
         assert list(build_dictionary(lex_a, lex_b, t, query)) == built
+
+
+# -- the paper's laws on whole dictionaries ----------------------------------------
+#
+# A translation is a monoidal functor and a dictionary compares a lexicon's
+# image with another lexicon, so these hold whatever arithmetic the build uses.
+
+_FILTERS = st.sampled_from([None, "s", "x"])
+
+
+def _law_pair(seed, onto):
+    """``_random_bucket_pair``'s lexicons and translation, filtered onto
+    ``onto`` (or not at all), with no threshold."""
+    lex_a, lex_b, t, query = _random_bucket_pair(seed)
+    type_filter = None if onto is None else parse_type(onto)
+    query = dataclasses.replace(query, target_type_filter=type_filter, threshold=None)
+    return lex_a, lex_b, t, query
+
+
+def _keyed(table) -> dict:
+    """A dictionary's distances by (source phrase, target phrase, reduction)."""
+    return {(e.source_phrase, e.target_phrase, e.reduction): e.distance for e in table}
+
+
+def _same_keys_and_distances(got, expected):
+    """The same keys, with distances within 1e-12 relative (of the largest
+    distance, for those near 0)."""
+    got, expected = _keyed(got), _keyed(expected)
+    assert got.keys() == expected.keys()
+    scale = max(expected.values(), default=0.0)
+    for key, distance in expected.items():
+        assert got[key] == pytest.approx(distance, rel=1e-12, abs=1e-12 * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), onto=_FILTERS)
+def test_composite_translation_builds_the_two_step_dictionary(seed, onto):
+    lex_a, lex_b, t1, query = _law_pair(seed, onto)
+    rng = np.random.default_rng(seed)
+    dims = t1.target_model.dims
+    t2 = Translation(
+        t1.target_model, LanguageModel("c", dims), {b: parse_type(b) for b in dims},
+        {b: rng.standard_normal((d, d)) for b, d in dims.items()},
+    )
+    lex_c = translate_lexicon(t2, lex_b)
+    composite = build_dictionary(lex_a, lex_c, compose_translations(t2, t1), query)
+    two_step = build_dictionary(image_lexicon(t1, lex_a), lex_c, t2, query)
+    _same_keys_and_distances(composite, two_step)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), onto=_FILTERS)
+def test_orthogonal_alphas_on_both_sides_keep_the_dictionary(seed, onto):
+    lex_a, lex_b, _, query = _law_pair(seed, onto)
+    model = lex_a.model
+    lex_b = Lexicon(model, lex_b.entries)  # the same dimensions, on one model
+    rng = np.random.default_rng(seed)
+    rotation = Translation(
+        model, model, {b: parse_type(b) for b in model.dims},
+        {b: random_orthogonal(rng, d) for b, d in model.dims.items()},
+    )
+    same = identity_translation(model)
+    rotated_a, rotated_b = image_lexicon(rotation, lex_a), image_lexicon(rotation, lex_b)
+    _same_keys_and_distances(
+        build_dictionary(rotated_a, rotated_b, same, query),
+        build_dictionary(lex_a, lex_b, same, query),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), onto=_FILTERS)
+def test_threshold_is_the_relation_on_the_unthresholded_build(seed, onto):
+    lex_a, lex_b, t, query = _law_pair(seed, onto)
+    everything = list(build_dictionary(lex_a, lex_b, t, query))
+    # k at 0 and at two of the distances themselves, where a pair is kept
+    # only if its distance has the same bits in both builds
+    rng = np.random.default_rng(seed)
+    distances = [e.distance for e in everything]
+    for k in [0.0, *rng.choice(distances, min(2, len(distances)), replace=False)]:
+        thresholded = build_dictionary(lex_a, lex_b, t, dataclasses.replace(query, threshold=k))
+        assert list(thresholded) == threshold_relation(everything, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), onto=st.sampled_from(["s", "x"]))
+def test_filter_lands_every_row_and_pairs_each_image_phrase_with_itself(seed, onto):
+    lex_a, _, t, query = _law_pair(seed, onto)
+    image = image_lexicon(t, lex_a)
+    h = query.target_type_filter
+    assert all(e.reduction.target == h for e in build_dictionary(lex_a, image, t, query))
+    exact = build_dictionary(lex_a, image, t, dataclasses.replace(query, threshold=0.0))
+    paired = {(e.source_phrase, e.target_phrase) for e in exact}
+    for p in phrases_with_senses(image, min(query.max_source_len, query.max_target_len)):
+        if reduce_search(lex_phrase(image, p).type, h, max_results=1):
+            assert (p, p) in paired
 
 
 @pytest.mark.parametrize("seed", range(8))

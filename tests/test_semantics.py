@@ -3,11 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discotrans.errors import TypeMismatchError, UnknownBasicTypeError
 from discotrans.grammar import (
     PregroupType,
     Reduction,
+    SimpleType,
     compose_reductions,
     parse_type,
     tensor_reductions,
@@ -213,13 +216,76 @@ def test_contraction_operands_share_one_pass_through_count():
         _contract(r, np.ones((2, 3)), np.ones(2))
 
 
-def test_word_network_counts_distinct_labels_and_builds_no_phrase_tensor(rng):
-    # 30 adjectives x x^l and a noun x: 61 simple types but 31 distinct
-    # einsum labels, and a phrase tensor of 2**61 entries
-    adjectives = [random_orthogonal(rng, 2) for _ in range(30)]
+@pytest.mark.parametrize(
+    "arrays", [[np.ones((2, 3))], [np.ones((4, 2, 3))], [np.ones(2), np.ones(3)]],
+    ids=["phrase", "stack", "words"],
+)
+def test_a_cup_joins_axes_of_one_size(arrays):
+    # a diagonal view of unequal axes would sum over the shorter one alone
+    r = Reduction.from_cups(parse_type("n n^r"), [(0, 1)])
+    with pytest.raises(TypeMismatchError, match=r"shapes .* cannot carry type 'n n\^r'"):
+        _contract(r, *arrays)
+
+
+def _random_planar_reduction(rng, length: int) -> Reduction:
+    """A reduction of a random word of ``length`` simple types, drawn as a
+    random bracketing: cups nest or sit side by side, and a simple type
+    survives only outside every cup."""
+    simples, cups, opened = [], [], []
+    for k in range(length):
+        moves = ["close" if opened else "survive"]
+        if length - k >= len(opened) + 2:
+            moves.append("open")
+        move = moves[rng.integers(len(moves))]
+        if move == "close":
+            i = opened.pop()
+            cups.append((i, k))
+            simples.append(SimpleType(simples[i].base, simples[i].z + 1))
+        else:
+            if move == "open":
+                opened.append(k)
+            simples.append(SimpleType(("x", "y")[rng.integers(2)], int(rng.integers(-1, 1))))
+    return Reduction.from_cups(PregroupType(tuple(simples)), cups)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), length=st.integers(1, 6), rows=st.integers(2, 8))
+def test_a_phrase_contracts_to_the_same_bits_alone_as_in_a_stack(seed, length, rows):
+    # the sums run in an order fixed by the reduction: neither the batch
+    # size nor the memory layout may move a bit
+    rng = np.random.default_rng(seed)
+    r = _random_planar_reduction(rng, length)
+    model = random_model(rng, max_dim=4)
+    stack = rng.standard_normal((rows, *space_shape(model, r.source)))
+    batch = _contract(r, stack)
+    assert batch.shape == (rows, *space_shape(model, r.target))
+    assert np.array_equal(_contract(r, stack[:1])[0], batch[0])
+    assert np.array_equal(_contract(r, stack[0]), batch[0])
+    assert np.array_equal(_contract(r, np.asfortranarray(stack)), batch)
+
+
+def test_word_stacks_contract_as_their_phrases_do(rng):
+    # each word stack leads with its sense axis; the result's batch axes
+    # come operand by operand, before the survivor
+    r = Reduction.from_cups(parse_type("n n^r s n^l n"), [(0, 1), (3, 4)])
+    subjects = rng.standard_normal((3, 2))
+    verbs = rng.standard_normal((4, 2, 3, 2))
+    objects = rng.standard_normal((2, 2))
+    got = _contract(r, subjects, verbs, objects)
+    assert got.shape == (3, 4, 2, 3)
+    for a, b, c in np.ndindex(3, 4, 2):
+        phrase = np.multiply.outer(np.multiply.outer(subjects[a], verbs[b]), objects[c])
+        np.testing.assert_allclose(got[a, b, c], _contract(r, phrase), rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [30, 100])
+def test_word_network_of_n_adjectives_builds_no_phrase_tensor(rng, n):
+    # n adjectives x x^l and a noun x: 2n + 1 simple types, and a phrase
+    # tensor of 2**(2n + 1) entries
+    adjectives = [random_orthogonal(rng, 2) for _ in range(n)]
     noun = rng.standard_normal(2)
-    g = parse_type(" ".join(["x x^l"] * 30 + ["x"]))
-    r = Reduction.from_cups(g, [(2 * k + 1, 2 * k + 2) for k in range(30)])
+    g = parse_type(" ".join(["x x^l"] * n + ["x"]))
+    r = Reduction.from_cups(g, [(2 * k + 1, 2 * k + 2) for k in range(n)])
     tracemalloc.start()
     try:
         start = time.perf_counter()
@@ -253,7 +319,7 @@ def test_cup_matrix_is_flattened_dot():
 
 
 def test_matrix_agrees_with_contraction(rng):
-    # dual-route check: explicit delta matrix vs einsum contraction
+    # dual-route check: explicit delta matrix vs contraction
     for _ in range(100):
         model = random_model(rng, max_dim=4)
         g = random_word(rng, max_len=5)

@@ -654,8 +654,8 @@ def test_naturality_check_of_a_d64_transitive_sentence_builds_no_basis(rng):
 
 
 def test_naturality_check_of_a_long_identity_reduction_is_exactly_zero():
-    # 27 axes, each with an open basis index, would need 54 einsum labels;
-    # the check must not be bound by einsum's limit of 52
+    # 27 axes, each with an open basis index: the check must not be bound
+    # by a limit on the number of axes
     model = LanguageModel("m", {"x": 1})
     word = parse_type(" ".join(["x"] * 27))
     report = check_naturality(identity_translation(model), Reduction.identity(word))
