@@ -78,7 +78,9 @@ def _phrase(args) -> Phrase:
 
 
 def cmd_parse(args) -> int:
-    basics = None if args.model is None else _load(io.load_model, args, "model").basics
+    basics = None
+    if args.model is not None:
+        basics = _load(io.load_model, args, "model").basics
     source = parse_type(args.source_type, basics)
     target = parse_type(args.target_type, basics)
     found = reduce_search(source, target, args.max)
@@ -159,8 +161,11 @@ def cmd_dict(args) -> int:
     lex_b = _load(io.load_lexicon, args, "lex-b")
     t = _load(io.load_translation, args, "translation")
     _same_models(lex_a.model, lex_b.model, t.source_model, t.target_model)
-    onto = "s" if args.reduced_only and args.target_type is None else args.target_type
-    type_filter = None if onto is None else parse_type(onto, lex_b.model.basics)
+    type_filter = None
+    if args.target_type is not None:
+        type_filter = parse_type(args.target_type, lex_b.model.basics)
+    elif args.reduced_only:
+        type_filter = parse_type("s", lex_b.model.basics)
     query = DictionaryQuery(
         max_source_len=args.max_source_len,
         max_target_len=args.max_target_len,

@@ -135,12 +135,13 @@ def _contract(r: Reduction, *arrays: np.ndarray) -> np.ndarray:
     number of batch axes; these lead the result, operand by operand,
     before the survivors.
 
-    Operands join left to right by outer product.  The cups whose right
-    end lies in the newest operand become diagonal views, and are then
-    summed innermost first, each over its index in ascending order, by
-    elementwise adds alone.  So an entry's bits depend only on its own
-    operands and the reduction, never on the batch size or the memory
-    layout.  The identity on one operand returns that operand.
+    Operands join left to right by outer product, each pairwise product
+    formed in full before the cups it closes are taken.  Those cups,
+    the ones whose right end lies in the newest operand, become diagonal
+    views, and are then summed innermost first, each over its index in
+    ascending order, by elementwise adds alone.  So an entry's bits
+    depend only on its own operands and the reduction, never on the
+    batch size or the memory layout.  The identity on one operand returns that operand.
     """
     ranks = [a.ndim for a in arrays]
     extra, rest = divmod(sum(ranks) - len(r.source), len(arrays))
@@ -173,17 +174,8 @@ def _contract(r: Reduction, *arrays: np.ndarray) -> np.ndarray:
 
 
 def _ascending_sum(x: np.ndarray, axis: int) -> np.ndarray:
-    """The sum of ``x`` over one axis, in ascending index order.
-
-    Both ways give the same bits.  ``np.add.accumulate`` costs a step
-    per lane and an add costs a call per index, so the sum takes one
-    accumulate when there are at most 16 lanes per index, else one add
-    per index.
-    """
-    x = x.transpose(axis, *range(axis), *range(axis + 1, x.ndim))
-    if x[0].size <= 16 * len(x):
-        # copied, so the result does not keep every partial sum alive
-        return np.add.accumulate(x)[-1].copy()
+    """The sum of ``x`` over one axis, in ascending index order."""
+    x = np.moveaxis(x, axis, 0)
     total = x[0]
     for k in range(1, len(x)):
         total = total + x[k]
