@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import islice
 from typing import Collection, Iterable, Iterator, NamedTuple
 
@@ -203,64 +202,67 @@ def _validate(source: PregroupType, cups: frozenset[tuple[int, int]]) -> tuple[i
     return tuple(survivors)
 
 
-Word = tuple[SimpleType, ...]
+class _Chart:
+    """The chart of one search for reductions of ``word`` onto ``target``.
 
-# Entries kept in the first-cup chart, one per (subword, target suffix),
-# each about 200 bytes.  A length-120 word to the unit fills about 1,900.
-_CHART_SIZE = 1 << 16
-
-
-def _reduces(word: Word, target: Word) -> bool:
-    """Whether some reduction takes ``word`` onto ``target``."""
-    if len(word) == len(target):
-        return word == target
-    if len(word) < len(target) or (len(word) - len(target)) % 2:
-        return False
-    return bool(_first_cups(word, target))
-
-
-@lru_cache(maxsize=_CHART_SIZE)
-def _first_cups(word: Word, target: Word) -> tuple[tuple[int, int], ...]:
-    """The chart: every first cup (i, j) that begins a reduction of ``word`` onto ``target``.
-
-    The first cup is the one with the smallest opening index: everything
-    left of i survives and spells ``target[:i]``, the interior contracts
-    to the unit, and the remainder reduces onto ``target[i:]``.  Only
-    called when ``word`` is longer than ``target`` by an even amount.
-    Each (subword, target suffix) is solved once, so feasibility is
-    polynomial in the word length.
+    State (i, j, k) asks whether ``word[i:j]`` reduces onto ``target[k:]``;
+    ``k = len(target)`` stands for the unit.  Each state's first cups are
+    solved once and kept until the search returns, so feasibility is
+    polynomial in the word length, and no state outlives its search.
     """
-    cups = []
-    for i in range(min(len(target), len(word) - 1) + 1):
-        if i > 0 and word[i - 1] != target[i - 1]:
-            break
-        closer = word[i].right
-        for j in range(i + 1, len(word), 2):
-            if (
-                word[j] == closer
-                and _reduces(word[i + 1 : j], ())
-                and _reduces(word[j + 1 :], target[i:])
-            ):
-                cups.append((i, j))
-    return tuple(cups)
 
+    def __init__(self, word: tuple[SimpleType, ...], target: tuple[SimpleType, ...]):
+        self.word, self.target, self.unit = word, target, len(target)
+        self.at: dict[SimpleType, list[int]] = {}  # each simple type's positions
+        for b, s in enumerate(word):
+            self.at.setdefault(s, []).append(b)
+        self.firsts: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
 
-def _walk(word: Word, target: Word, offset: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Yield the cup sets of a reducible ``word`` onto ``target``, shifted by ``offset``.
+    def reduces(self, i: int, j: int, k: int) -> bool:
+        """Whether some reduction takes ``word[i:j]`` onto ``target[k:]``."""
+        extra = (j - i) - (self.unit - k)
+        if extra == 0:
+            return self.word[i:j] == self.target[k:]
+        return extra > 0 and extra % 2 == 0 and bool(self.first_cups(i, j, k))
 
-    Cup sets come out sorted by opening index and in lexicographic order
-    of that sorted sequence, so truncation gives the leftmost-cup-first
-    results.  Every chart entry leads to a reduction, so the walk never
-    backtracks.
-    """
-    if len(word) == len(target):
-        yield ()
-        return
-    for i, j in _first_cups(word, target):
-        cup = ((offset + i, offset + j),)
-        for inner in _walk(word[i + 1 : j], (), offset + i + 1):
-            for rest in _walk(word[j + 1 :], target[i:], offset + j + 1):
-                yield cup + inner + rest
+    def first_cups(self, i: int, j: int, k: int) -> list[tuple[int, int]]:
+        """Every first cup (a, b) that begins a reduction of ``word[i:j]`` onto ``target[k:]``.
+
+        The first cup is the one with the smallest opening index: ``word[i:a]``
+        survives and spells ``target[k:k + a - i]``, the interior contracts
+        to the unit, and ``word[b + 1:j]`` reduces onto the rest of the
+        target.  Only called when ``word[i:j]`` is longer than
+        ``target[k:]`` by an even amount.
+        """
+        cups = self.firsts.get((i, j, k))
+        if cups is None:
+            # every state it asks about is shorter, so the entry is only
+            # read once it is complete
+            cups = self.firsts[i, j, k] = []
+            for a in range(i, min(i + self.unit - k, j - 1) + 1):
+                if a > i and self.word[a - 1] != self.target[k + a - 1 - i]:
+                    break
+                for b in self.at.get(self.word[a].right, ()):
+                    if a < b < j and self.reduces(a + 1, b, self.unit):
+                        if self.reduces(b + 1, j, k + a - i):
+                            cups.append((a, b))
+        return cups
+
+    def walk(self, i: int, j: int, k: int) -> Iterator[tuple[tuple[int, int], ...]]:
+        """Yield the cup sets of a reducible ``word[i:j]`` onto ``target[k:]``.
+
+        Cup sets come out sorted by opening index and in lexicographic order
+        of that sorted sequence, so truncation gives the leftmost-cup-first
+        results.  Every chart entry leads to a reduction, so the walk never
+        backtracks.
+        """
+        if j - i == self.unit - k:
+            yield ()
+            return
+        for a, b in self.first_cups(i, j, k):
+            for inner in self.walk(a + 1, b, self.unit):
+                for rest in self.walk(b + 1, j, k + a - i):
+                    yield ((a, b),) + inner + rest
 
 
 def reduce_search(
@@ -269,13 +271,15 @@ def reduce_search(
     """Find reductions from source to target, leftmost-cup-first.
 
     Returns up to ``max_results`` distinct reductions (all of them when
-    None); an empty list when no reduction exists.
+    None); an empty list when no reduction exists.  Each call builds its
+    own chart, so its outcome depends on its arguments alone.
     """
     if max_results is not None and max_results < 1:
         raise ValueError("max_results must be at least 1")
-    if not _reduces(source.simples, target.simples):
+    chart = _Chart(source.simples, target.simples)
+    if not chart.reduces(0, len(source), 0):
         return []
-    walk = _walk(source.simples, target.simples, 0)
+    walk = chart.walk(0, len(source), 0)
     return [Reduction.from_cups(source, cups) for cups in islice(walk, max_results)]
 
 

@@ -17,10 +17,10 @@ import numpy as np
 
 from .dictionary import DictionaryEntry, DictionaryTable
 from .errors import FormatError, InvalidReductionError, NonFiniteError
-from .grammar import Reduction, parse_type
+from .grammar import PregroupType, Reduction, parse_type
 from .lexicon import Lexicon, Phrase
 from .product_space import PSObject
-from .semantics import LanguageModel, Tensor, make_tensor
+from .semantics import LanguageModel, Tensor, make_tensor, space_shape
 from .translation import Translation
 
 FORMAT_VERSION = 1
@@ -128,7 +128,7 @@ def lexicon_from_doc(doc, base_dir: Path = Path(".")) -> Lexicon:
         word = str(_require(record, "word", "lexicon record"))
         g = parse_type(str(_require(record, "type", "lexicon record")), model.basics)
         data = _require(record, "data", "lexicon record", list)
-        tensor = make_tensor(model, g, _numbers(data, "lexicon record 'data'"))
+        tensor = _tensor_of(model, g, data, f"lexicon record {word!r}")
         entries.setdefault(word, []).append(PSObject.of(tensor))
     return Lexicon(model, {w: tuple(objs) for w, objs in entries.items()})
 
@@ -191,8 +191,18 @@ def tensor_to_doc(t: Tensor) -> dict:
 def tensor_from_doc(doc, model: LanguageModel) -> Tensor:
     doc = _check_format(doc, "tensor")
     g = parse_type(str(_require(doc, "type", "tensor")), model.basics)
-    data = _require(doc, "data", "tensor", list)
-    return make_tensor(model, g, _numbers(data, "tensor 'data'"))
+    return _tensor_of(model, g, _require(doc, "data", "tensor", list), "tensor")
+
+
+def _tensor_of(model: LanguageModel, g: PregroupType, data: list, what: str) -> Tensor:
+    """The tensor of type ``g`` whose entries ``data`` lists, one number each."""
+    numbers = _numbers(data, f"{what} 'data'")
+    size = math.prod(space_shape(model, g))
+    if numbers.size != size:
+        raise FormatError(
+            f"{what} of type '{g}' needs {size} numbers in 'data', got {numbers.size}"
+        )
+    return make_tensor(model, g, numbers)
 
 
 def matrix_from_doc(doc) -> np.ndarray:
@@ -211,13 +221,27 @@ def matrix_to_doc(matrix: np.ndarray) -> dict:
 
 
 def pairs_from_doc(doc) -> list[tuple[list[float], list[float]]]:
+    """The (source, target) vector pairs of a pairs document.
+
+    No vector may be empty, and every source, like every target, must be
+    as long as the first pair's.
+    """
     doc = _check_format(doc, "pairs")
-    pairs = []
-    for record in _require(doc, "pairs", "pairs", list):
+    pairs: list[tuple[list[float], list[float]]] = []
+    for number, record in enumerate(_require(doc, "pairs", "pairs", list), start=1):
         source, target = (
             _numbers(_require(record, key, "pair record", list), f"pair {key}").tolist()
             for key in ("source", "target")
         )
+        first = pairs[0] if pairs else (source, target)
+        for key, vector, first_vector in zip(("source", "target"), (source, target), first):
+            if not vector:
+                raise FormatError(f"pairs document: pair {number} has an empty {key}")
+            if len(vector) != len(first_vector):
+                raise FormatError(
+                    f"pairs document: pair {number}'s {key} has length {len(vector)}, "
+                    f"but pair 1's has length {len(first_vector)}"
+                )
         pairs.append((source, target))
     if not pairs:
         raise FormatError("pairs document holds no pairs")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import discotrans
-from discotrans import dictionary, grammar, io
+from discotrans import dictionary, io
 from discotrans.cli import main
 from discotrans.demo import DROP_QUANTITY, collapse_number_translation, wardrobe_lexicon
 from discotrans.dictionary import DictionaryQuery, build_dictionary
@@ -65,11 +65,11 @@ def test_parse_rejects_bad_syntax(capsys):
     assert "error" in err
 
 
-@pytest.mark.parametrize("pairs, expected", [(300, 0), (400, 2)])
+@pytest.mark.parametrize("pairs, expected", [(300, 0), (1000, 2)])
 def test_parse_of_a_long_type(capsys, pairs, expected):
-    # the chart's recursion deepens with every simple type: 801 of them pass
-    # Python's recursion limit, which is an input error, not a negative result
-    grammar._first_cups.cache_clear()
+    # the chart's recursion deepens with every pair of simple types: 2,001 of
+    # them pass Python's recursion limit, which is an input error, not a
+    # negative result
     code, out, err = run(capsys, "parse", "--from", "n n^r " * pairs + "s", "--to", "s")
     assert code == expected
     assert "Traceback" not in err
@@ -77,6 +77,31 @@ def test_parse_of_a_long_type(capsys, pairs, expected):
         assert (out.count("\n"), err) == (1, "")
     else:
         assert (out, err) == ("", "error: a type is too long to search for reductions\n")
+
+
+def test_parse_outcome_does_not_depend_on_earlier_searches():
+    # 400 pairs come near Python's recursion limit: a search that the same
+    # process ran before, at 300 pairs, must not change whether it succeeds.
+    # Each run is a fresh interpreter, so both start at the same stack depth.
+    src = str(Path(discotrans.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "from discotrans.cli import main\n"
+        "for pairs in map(int, sys.argv[1:]):\n"
+        "    code = main(['parse', '--from', 'n n^r ' * pairs + 's', '--to', 's'])\n"
+        "sys.exit(code)\n"
+    )
+
+    def exit_code(*pairs):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *map(str, pairs)],
+            capture_output=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+        )
+        assert b"Traceback" not in proc.stderr
+        return proc.returncode
+
+    assert exit_code(400) == exit_code(300, 400)
 
 
 def test_parse_model_constrains_basics(files, tmp_path, capsys):
@@ -413,6 +438,31 @@ def test_underdetermined_fit_warns_on_one_line(tmp_path, capsys):
     assert err == "warning: fit is underdetermined; returning the minimal-norm solution\n"
 
 
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        # vectors of different lengths, which numpy cannot stack
+        (
+            [{"source": [1, 0], "target": [1, 0]}, {"source": [1, 0, 0], "target": [0, 1]}],
+            "pair 2's source has length 3, but pair 1's has length 2",
+        ),
+        (
+            [{"source": [1, 0], "target": [1, 0]}, {"source": [0, 1], "target": [0]}],
+            "pair 2's target has length 1, but pair 1's has length 2",
+        ),
+        # zero-length vectors, whose fit is an empty matrix no loader reads
+        ([{"source": [], "target": []}], "pair 1 has an empty source"),
+        ([{"source": [1], "target": [1]}, {"source": [2], "target": []}],
+         "pair 2 has an empty target"),
+    ],
+)
+def test_fit_on_mismatched_vectors_is_input_error(tmp_path, capsys, pairs, message):
+    io.save_doc({"format": 1, "pairs": pairs}, tmp_path / "pairs.json")
+    code, out, err = run(capsys, "fit", "--pairs", str(tmp_path / "pairs.json"))
+    assert (code, out) == (2, "")
+    assert err == f"error: pairs document: {message}\n"
+
+
 def test_fit_unitary_outputs_orthogonal(tmp_path, capsys, rng):
     truth = np.array([[0.0, -1.0], [1.0, 0.0]])
     pairs = []
@@ -707,6 +757,21 @@ def test_lexicon_with_non_number_data_is_input_error(files, capsys):
     code, _, err = run(capsys, "meaning", "--lex", str(path), "--phrase", "Rosie", "--to", "n_s")
     assert code == 2
     assert "'data' must hold JSON numbers only" in err
+
+
+def test_lexicon_with_wrong_length_data_is_input_error(files, capsys):
+    path = files / "aware.lex.json"
+    doc = json.loads(path.read_text())
+    record = doc["words"][0]
+    record["data"].append(1.0)
+    io.save_doc(doc, path)
+    code, out, err = run(capsys, "meaning", "--lex", str(path), "--phrase", "Rosie", "--to", "n_s")
+    assert (code, out) == (2, "")
+    size = len(record["data"]) - 1
+    assert err == (
+        f"error: lexicon record {record['word']!r} of type '{record['type']}' "
+        f"needs {size} numbers in 'data', got {size + 1}\n"
+    )
 
 
 def test_lexicon_with_boolean_among_numbers_is_input_error(files, capsys):

@@ -72,6 +72,16 @@ def test_pairs_round_trip(tmp_path):
     assert io.load_pairs(path) == [([1.0, 0.0], [0.5]), ([0.0, 1.0], [-2.0])]
 
 
+def test_tensor_with_wrong_length_data_is_format_error(aware_model):
+    doc = {"format": 1, "type": "n_s n_s^r s", "data": [1.0, 2.0, 3.0]}
+    size = aware_model.dim("n_s") ** 2 * aware_model.dim("s")
+    with pytest.raises(FormatError) as caught:
+        io.tensor_from_doc(doc, aware_model)
+    assert str(caught.value) == (
+        f"tensor of type 'n_s n_s^r s' needs {size} numbers in 'data', got 3"
+    )
+
+
 def test_dictionary_doc_round_trip(collapse, wardrobe):
     pushed = translate_lexicon(collapse, wardrobe)
     table = build_dictionary(wardrobe, pushed, collapse, DictionaryQuery(threshold=0.0))
