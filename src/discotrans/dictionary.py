@@ -31,7 +31,8 @@ import numpy as np
 from .errors import BudgetExceededError, NonFiniteError
 from .grammar import PregroupType, Reduction, free_group_image, reduce_search
 from .lexicon import Lexicon, Phrase
-from .semantics import _contract
+from .product_space import _distances
+from .semantics import _contract, _join
 from .translation import Translation, _check_model, _image_lexicon
 
 # One block of the broadcast source-minus-target difference holds at most
@@ -176,11 +177,11 @@ class _PhraseBuckets:
                 self._grown[seq] = labels, np.stack(arrays)
             else:
                 prefix_labels, prefix = self._sequence(seq[:-1])
-                labels, word_stack = self._sequence(seq[-1:])
-                self._grown[seq] = (
-                    [(pw + w, ps + s) for pw, ps in prefix_labels for w, s in labels],
-                    _grow(prefix, word_stack),
-                )
+                word_labels, word_stack = self._sequence(seq[-1:])
+                # every prefix times every word on its right, prefix-major
+                labels = [(pw + w, ps + s) for pw, ps in prefix_labels for w, s in word_labels]
+                stack = _join(prefix, word_stack, 1, 1)
+                self._grown[seq] = labels, stack.reshape(-1, *stack.shape[2:])
         return self._grown[seq]
 
     def bucket(self, g: PregroupType) -> tuple[np.ndarray, np.ndarray]:
@@ -194,13 +195,6 @@ class _PhraseBuckets:
         return np.arange(first, first + len(stack)), stack
 
 
-def _grow(prefixes: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Every stacked prefix times every stacked word on its right, prefix-major."""
-    out = np.empty((len(prefixes), len(words), *prefixes.shape[1:], *words.shape[1:]))
-    np.multiply.outer(prefixes, words, out=np.moveaxis(out, 1, prefixes.ndim))
-    return out.reshape(-1, *out.shape[2:])
-
-
 def _reduced_rows(r: Reduction, stack: np.ndarray) -> np.ndarray:
     """``r`` applied to every phrase of a stack, one flattened row each.
 
@@ -210,18 +204,6 @@ def _reduced_rows(r: Reduction, stack: np.ndarray) -> np.ndarray:
     contracts nothing, so its rows are a view of the stack.
     """
     return _contract(r, stack).reshape(len(stack), -1)
-
-
-def _distances(source_rows: np.ndarray, target_rows: np.ndarray) -> np.ndarray:
-    """Euclidean distance from every source row to every target row.
-
-    Each difference row is C-contiguous and dotted with itself in one
-    BLAS call, as ``np.linalg.norm`` does, so every value equals
-    ``frobenius_distance`` of the two rows bit for bit.
-    """
-    diff = np.empty((len(source_rows), *target_rows.shape))
-    np.subtract(source_rows[:, None, :], target_rows[None, :, :], out=diff)
-    return np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
 
 
 def build_dictionary(

@@ -291,24 +291,9 @@ def _gather(items: list, column: np.ndarray) -> list:
 
 
 def dictionary_to_doc(table: DictionaryTable) -> dict:
-    """The structured document of a dictionary, one record per row.
-
-    Each phrase's and each reduction's document is made once and shared
-    by every record that points at it.
-    """
-    records = zip(
-        _gather([_phrase_to_doc(p) for p in table.source_phrases], table.source),
-        _gather([_phrase_to_doc(p) for p in table.target_phrases], table.target),
-        _gather([_reduction_to_doc(r) for r in table.reductions], table.reduction),
-        map(round_sig, table.distance.tolist()),
-    )
-    return {
-        "format": FORMAT_VERSION,
-        "entries": [
-            {"source": source, "target": target, "reduction": reduction, "distance": distance}
-            for source, target, reduction, distance in records
-        ],
-    }
+    """The structured document of a dictionary, one record per row: the
+    document ``dictionary_to_json`` prints, read back."""
+    return json.loads(dictionary_to_json(table))
 
 
 def dictionary_from_doc(doc) -> list[DictionaryEntry]:
@@ -357,12 +342,15 @@ def dictionary_to_rows(table: DictionaryTable) -> str:
 
 
 def dictionary_to_json(table: DictionaryTable) -> str:
-    """``json.dumps(dictionary_to_doc(table), indent=2)``, written from the columns.
+    """The dictionary document, one record per row, as ``json.dumps(doc,
+    indent=2)`` prints it, written from the columns.
 
-    Each phrase's and reduction's document is encoded once, indented to
-    the depth of a record's fields, so no row passes through ``json``'s
-    indenting encoder, which is pure Python.  ``%r`` prints a float as
-    ``json`` does.
+    A record holds the source and target phrase documents, the reduction
+    document and the distance to 12 significant digits.  Each phrase's
+    and reduction's document is encoded once, indented to the depth of a
+    record's fields, so no row passes through ``json``'s indenting
+    encoder, which is pure Python.  ``%r`` prints a float as ``json``
+    does.
     """
     def nested(doc: dict) -> str:
         return json.dumps(doc, indent=2).replace("\n", "\n      ")

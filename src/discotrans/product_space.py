@@ -46,7 +46,20 @@ class PSMorphism:
 
 
 def frobenius_distance(u: np.ndarray, v: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(u).reshape(-1) - np.asarray(v).reshape(-1)))
+    """The Euclidean distance between two arrays of equal size: ``_distances``
+    on one pair of rows."""
+    return float(_distances(np.reshape(u, (1, -1)), np.reshape(v, (1, -1)))[0, 0])
+
+
+def _distances(source_rows: np.ndarray, target_rows: np.ndarray) -> np.ndarray:
+    """Euclidean distance from every source row to every target row.
+
+    Each difference row is C-contiguous and dotted with itself in one
+    BLAS call, so a pair's value does not depend on the other rows.
+    """
+    diff = np.empty((len(source_rows), *target_rows.shape))
+    np.subtract(source_rows[:, None, :], target_rows[None, :, :], out=diff)
+    return np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
 
 
 def ps_morphism(

@@ -9,7 +9,9 @@ axis pair against the canonical dot product.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -113,8 +115,13 @@ class Tensor:
 def make_tensor(model: LanguageModel, g: PregroupType, data) -> Tensor:
     """Build a tensor of type g from flat row-major (or already shaped) data."""
     shape = space_shape(model, g)
-    arr = np.asarray(data, dtype=float).reshape(shape)
-    return Tensor(g, arr)
+    arr = np.asarray(data, dtype=float)
+    if arr.size != math.prod(shape):
+        raise TypeMismatchError(
+            f"type '{g}' in model {model.name!r} needs {math.prod(shape)} entries, "
+            f"got {arr.size}"
+        )
+    return Tensor(g, arr.reshape(shape))
 
 
 def unit_scalar(value: float = 1.0) -> Tensor:
@@ -135,13 +142,14 @@ def _contract(r: Reduction, *arrays: np.ndarray) -> np.ndarray:
     number of batch axes; these lead the result, operand by operand,
     before the survivors.
 
-    Operands join left to right by outer product, each pairwise product
-    formed in full before the cups it closes are taken.  Those cups,
-    the ones whose right end lies in the newest operand, become diagonal
-    views, and are then summed innermost first, each over its index in
-    ascending order, by elementwise adds alone.  So an entry's bits
-    depend only on its own operands and the reduction, never on the
-    batch size or the memory layout.  The identity on one operand returns that operand.
+    Operands join left to right by outer product (``_join``), each
+    pairwise product formed in full before the cups it closes are taken.
+    Those cups, the ones whose right end lies in the newest operand,
+    become diagonal views, and are then summed innermost first, each over
+    its index in ascending order, by elementwise adds alone.  So an
+    entry's bits depend only on its own operands and the reduction, never
+    on the batch size or the memory layout.  The identity on one operand
+    returns that operand; on several, their C-contiguous join.
     """
     ranks = [a.ndim for a in arrays]
     extra, rest = divmod(sum(ranks) - len(r.source), len(arrays))
@@ -156,9 +164,7 @@ def _contract(r: Reduction, *arrays: np.ndarray) -> np.ndarray:
     out, batch, opened, start = arrays[0], extra, [], 0
     for n, a in enumerate(arrays):
         if n:
-            # the newest operand's batch axes join the others in front
-            k, joined = out.ndim, np.multiply.outer(out, a)
-            out = np.moveaxis(joined, range(k, k + extra), range(batch, batch + extra))
+            out = _join(out, a, batch, extra)
             batch += extra
         stop = start + a.ndim - extra
         opened += range(start, stop)
@@ -168,18 +174,21 @@ def _contract(r: Reduction, *arrays: np.ndarray) -> np.ndarray:
             opened.remove(i)
             opened.remove(j)
         for _ in closed:
-            out = _ascending_sum(out, batch + len(opened))
+            # the innermost cup's diagonal, its index summed in ascending order
+            out = reduce(np.add, np.moveaxis(out, batch + len(opened), 0))
         start = stop
     return out
 
 
-def _ascending_sum(x: np.ndarray, axis: int) -> np.ndarray:
-    """The sum of ``x`` over one axis, in ascending index order."""
-    x = np.moveaxis(x, axis, 0)
-    total = x[0]
-    for k in range(1, len(x)):
-        total = total + x[k]
-    return total
+def _join(out: np.ndarray, a: np.ndarray, batch: int, extra: int) -> np.ndarray:
+    """The outer product of ``out`` and ``a``, written C-contiguous with
+    every batch axis in front: ``out``'s ``batch`` leading axes, then
+    ``a``'s ``extra``, then the other axes of ``out`` and of ``a``."""
+    joined = np.empty((*out.shape[:batch], *a.shape[:extra], *out.shape[batch:], *a.shape[extra:]))
+    # written through a view in the axis order ``np.multiply.outer`` makes
+    k, moved = out.ndim, range(batch, batch + extra)
+    np.multiply.outer(out, a, out=np.moveaxis(joined, moved, range(k, k + extra)))
+    return joined
 
 
 def apply_reduction(model: LanguageModel, r: Reduction, t: Tensor) -> Tensor:

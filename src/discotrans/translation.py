@@ -324,10 +324,8 @@ def fit_alpha(
     """
     if not pairs:
         raise ValueError("at least one pair is required")
-    sources = np.asarray([p[0] for p in pairs], dtype=float)
-    targets = np.asarray([p[1] for p in pairs], dtype=float)
-    if sources.ndim != 2 or targets.ndim != 2:
-        raise TypeMismatchError("pairs must hold constant-dimension vectors")
+    sources = _rows_of([p[0] for p in pairs], "source")
+    targets = _rows_of([p[1] for p in pairs], "target")
     solution, _, rank, _ = np.linalg.lstsq(sources, targets, rcond=None)
     if rank < sources.shape[1]:
         warnings.warn(
@@ -342,6 +340,18 @@ def fit_alpha(
             )
         matrix = nearest_unitary(matrix)
     return matrix
+
+
+def _rows_of(vectors: list, side: str) -> np.ndarray:
+    """The vectors of one side of the pairs as the rows of a matrix; they
+    must all be non-empty and of one length."""
+    shapes = sorted({np.shape(v) for v in vectors})
+    if len(shapes) > 1 or len(shapes[0]) != 1 or not shapes[0][0]:
+        raise TypeMismatchError(
+            f"pairs must hold non-empty vectors of one length, but the {side} vectors "
+            f"have shapes {', '.join(map(str, shapes))}"
+        )
+    return np.asarray(vectors, dtype=float)
 
 
 def solve_generator_map(

@@ -210,6 +210,12 @@ def test_normalize_rejects_non_scalars():
         normalize_sentence(model, make_tensor(model, parse_type("n"), [1, 2]))
 
 
+def test_make_tensor_counts_its_entries():
+    model = LanguageModel("m", {"n": 2, "s": 1})
+    with pytest.raises(TypeMismatchError, match=r"type 'n s' in model 'm' needs 2 entries, got 3"):
+        make_tensor(model, parse_type("n s"), [1, 2, 3])
+
+
 def test_contraction_operands_share_one_pass_through_count():
     r = Reduction.from_cups(parse_type("n n^r"), [(0, 1)])
     with pytest.raises(TypeMismatchError):
@@ -276,6 +282,21 @@ def test_word_stacks_contract_as_their_phrases_do(rng):
     for a, b, c in np.ndindex(3, 4, 2):
         phrase = np.multiply.outer(np.multiply.outer(subjects[a], verbs[b]), objects[c])
         np.testing.assert_allclose(got[a, b, c], _contract(r, phrase), rtol=1e-12, atol=1e-14)
+
+
+def test_word_stacks_join_batch_leading_as_their_phrases_do(rng):
+    # the identity contracts nothing: the join is the result, written
+    # C-contiguous with the sense axes in front
+    g = parse_type("n n^r s n^l n")
+    subjects = rng.standard_normal((3, 2))
+    verbs = rng.standard_normal((4, 2, 3, 2))
+    objects = rng.standard_normal((2, 2))
+    got = _contract(Reduction.identity(g), subjects, verbs, objects)
+    assert got.shape == (3, 4, 2, 2, 2, 3, 2, 2)
+    assert got.flags.c_contiguous
+    for a, b, c in np.ndindex(3, 4, 2):
+        phrase = np.multiply.outer(np.multiply.outer(subjects[a], verbs[b]), objects[c])
+        assert np.array_equal(got[a, b, c], phrase)
 
 
 @pytest.mark.parametrize("n", [30, 100])

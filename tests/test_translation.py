@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from discotrans.demo import collapse_number_translation
 from discotrans.dictionary import DictionaryQuery, build_dictionary
 from discotrans.errors import (
+    DiscotransError,
     ModelMismatchError,
     NonFunctorialTranslationError,
     RankDeficientError,
@@ -761,6 +762,19 @@ def test_unitary_flag_requires_square():
 def test_fit_needs_pairs():
     with pytest.raises(ValueError):
         fit_alpha([])
+
+
+@pytest.mark.parametrize(
+    "pairs,problem",
+    [
+        ([([1, 0], [1, 0]), ([1, 0, 0], [0, 1])], r"source vectors have shapes \(2,\), \(3,\)"),
+        ([([], [])], r"non-empty vectors .* source vectors have shapes \(0,\)"),
+    ],
+    ids=["ragged", "empty"],
+)
+def test_fit_checks_its_vectors(pairs, problem):
+    with pytest.raises(DiscotransError, match=problem):
+        fit_alpha(pairs)
 
 
 # -- solving grammar maps from constraints -------------------------------------------------
