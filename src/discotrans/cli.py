@@ -4,11 +4,11 @@ Subcommands: parse, meaning, translate, check, procrustes, fit, dict.
 Exit codes: 0 success (a reader that closes stdout early included), 1
 negative result (no reduction, failed check, empty dictionary), 2 input
 error (an input too large for memory and a type too long to search for
-reductions included), 3 numeric failure (any result that overflows
-float64 to infinity or NaN).  Structured output goes to stdout as JSON
-documents that the loaders can read back; numbers are printed with 12
-significant digits, and are always finite.  A warning the library
-emits, such as an underdetermined fit, goes to stderr as one
+reductions included) or internal error, 3 numeric failure (any result
+that overflows float64 to infinity or NaN).  Structured output goes to
+stdout as JSON documents that the loaders can read back; numbers are
+printed with 12 significant digits, and are always finite.  A warning
+the library emits, such as an underdetermined fit, goes to stderr as one
 ``warning:`` line and leaves the exit code alone.
 """
 
@@ -83,7 +83,10 @@ def cmd_parse(args) -> int:
         basics = _load(io.load_model, args, "model").basics
     source = parse_type(args.source_type, basics)
     target = parse_type(args.target_type, basics)
-    found = reduce_search(source, target, args.max)
+    try:
+        found = reduce_search(source, target, args.max)
+    except ValueError as exc:
+        raise ValueError(f"--max: {exc}") from None
     if not found:
         print("no reduction")
         return EXIT_NEGATIVE
@@ -99,13 +102,6 @@ def _meaning_of(lex: Lexicon, args, t: Translation | None = None) -> int:
         lex = _image_lexicon(t, lex, lex.words)
     target = parse_type(args.target_type, lex.model.basics)
     tensor = phrase_meaning(lex, _phrase(args), target)
-    # overflow shows up as a non-finite meaning, checked before
-    # normalising could hide it
-    if not np.isfinite(tensor.array).all():
-        raise NonFiniteError(
-            f"meaning of '{args.phrase}' on '{target}' is not finite: "
-            "the arithmetic overflows float64"
-        )
     if args.normalize:
         tensor = normalize_sentence(lex.model, tensor)
     _print_doc(io.tensor_to_doc(tensor))
@@ -285,6 +281,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     except RecursionError:
         print("error: a type is too long to search for reductions", file=sys.stderr)
+        return EXIT_INPUT
+    except Exception as exc:
+        # a fault of the program, not of the input: still one line, no traceback
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -111,6 +111,8 @@ class DictionaryQuery:
     def __post_init__(self) -> None:
         if self.max_source_len < 1 or self.max_target_len < 1:
             raise ValueError("phrase length caps must be at least 1")
+        if self.max_pairs < 0:
+            raise ValueError(f"max_pairs must be at least 0, got {self.max_pairs}")
         if self.threshold is not None:
             _check_threshold(self.threshold)
 

@@ -275,7 +275,7 @@ def reduce_search(
     own chart, so its outcome depends on its arguments alone.
     """
     if max_results is not None and max_results < 1:
-        raise ValueError("max_results must be at least 1")
+        raise ValueError(f"the number of reductions to list must be at least 1, got {max_results}")
     chart = _Chart(source.simples, target.simples)
     if not chart.reduces(0, len(source), 0):
         return []

@@ -11,17 +11,18 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .dictionary import DictionaryEntry, DictionaryTable
-from .errors import FormatError, InvalidReductionError, NonFiniteError
+from .errors import DiscotransError, FormatError, NonFiniteError
 from .grammar import PregroupType, Reduction, parse_type
 from .lexicon import Lexicon, Phrase
 from .product_space import PSObject
-from .semantics import LanguageModel, Tensor, make_tensor, space_shape
-from .translation import Translation
+from .semantics import LanguageModel, Tensor, make_tensor
+from .translation import Translation, _rows_of
 
 FORMAT_VERSION = 1
 
@@ -68,6 +69,20 @@ def _require(doc: dict, key: str, kind: str, container: type | None = None):
     return value
 
 
+@contextmanager
+def _at(where: str):
+    """Report a library error raised inside as a ``FormatError`` that names
+    ``where`` in the document the value sits.
+
+    The library owns each rule on a value; a reader states only where the
+    value came from.  Any other exception is a fault and passes through.
+    """
+    try:
+        yield
+    except (DiscotransError, ValueError) as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+
+
 def _numbers(value, what: str) -> np.ndarray:
     """``value`` as a float array; every element must be a finite JSON number.
 
@@ -96,13 +111,9 @@ def _numbers(value, what: str) -> np.ndarray:
 def model_from_doc(doc) -> LanguageModel:
     doc = _check_format(doc, "model")
     name = _require(doc, "name", "model")
-    basic_types = _require(doc, "basic_types", "model")
-    if not isinstance(basic_types, dict) or not all(
-        isinstance(v, int) and not isinstance(v, bool) and v >= 1
-        for v in basic_types.values()
-    ):
-        raise FormatError("basic_types must map names to positive integers")
-    return LanguageModel(str(name), dict(basic_types))
+    basic_types = _require(doc, "basic_types", "model", dict)
+    with _at("model 'basic_types'"):
+        return LanguageModel(str(name), dict(basic_types))
 
 
 def model_to_doc(model: LanguageModel) -> dict:
@@ -197,12 +208,8 @@ def tensor_from_doc(doc, model: LanguageModel) -> Tensor:
 def _tensor_of(model: LanguageModel, g: PregroupType, data: list, what: str) -> Tensor:
     """The tensor of type ``g`` whose entries ``data`` lists, one number each."""
     numbers = _numbers(data, f"{what} 'data'")
-    size = math.prod(space_shape(model, g))
-    if numbers.size != size:
-        raise FormatError(
-            f"{what} of type '{g}' needs {size} numbers in 'data', got {numbers.size}"
-        )
-    return make_tensor(model, g, numbers)
+    with _at(f"{what} 'data'"):
+        return make_tensor(model, g, numbers)
 
 
 def matrix_from_doc(doc) -> np.ndarray:
@@ -223,28 +230,22 @@ def matrix_to_doc(matrix: np.ndarray) -> dict:
 def pairs_from_doc(doc) -> list[tuple[list[float], list[float]]]:
     """The (source, target) vector pairs of a pairs document.
 
-    No vector may be empty, and every source, like every target, must be
-    as long as the first pair's.
+    Each side's vectors must be as ``fit_alpha`` takes them: non-empty
+    and as long as pair 1's.
     """
     doc = _check_format(doc, "pairs")
-    pairs: list[tuple[list[float], list[float]]] = []
-    for number, record in enumerate(_require(doc, "pairs", "pairs", list), start=1):
-        source, target = (
+    pairs = [
+        tuple(
             _numbers(_require(record, key, "pair record", list), f"pair {key}").tolist()
             for key in ("source", "target")
         )
-        first = pairs[0] if pairs else (source, target)
-        for key, vector, first_vector in zip(("source", "target"), (source, target), first):
-            if not vector:
-                raise FormatError(f"pairs document: pair {number} has an empty {key}")
-            if len(vector) != len(first_vector):
-                raise FormatError(
-                    f"pairs document: pair {number}'s {key} has length {len(vector)}, "
-                    f"but pair 1's has length {len(first_vector)}"
-                )
-        pairs.append((source, target))
+        for record in _require(doc, "pairs", "pairs", list)
+    ]
     if not pairs:
         raise FormatError("pairs document holds no pairs")
+    with _at("pairs document"):
+        for side, vectors in zip(("source", "target"), zip(*pairs)):
+            _rows_of(vectors, side)
     return pairs
 
 
@@ -274,15 +275,18 @@ def _is_int_list(value, length: int | None = None) -> bool:
     )
 
 
-def _phrase_from_doc(doc) -> Phrase:
-    words = _require(doc, "words", "phrase", list)
-    if not words or not all(isinstance(w, str) for w in words):
-        raise FormatError("phrase 'words' must be a non-empty array of strings")
-    if "senses" not in doc:
-        return Phrase(tuple(words))
-    if not _is_int_list(doc["senses"], len(words)):
-        raise FormatError("phrase 'senses' must be an array of one integer per word")
-    return Phrase(tuple(words), tuple(doc["senses"]))
+def _phrase_from_doc(record: dict, key: str) -> Phrase:
+    """The phrase that a dictionary entry's ``key`` field holds."""
+    where = f"dictionary entry {key!r}"
+    doc = _require(record, key, "dictionary entry")
+    words = _require(doc, "words", where, list)
+    if not all(isinstance(w, str) for w in words):
+        raise FormatError(f"{where} 'words' must be an array of strings")
+    senses = doc.get("senses", [])
+    if not _is_int_list(senses):
+        raise FormatError(f"{where} 'senses' must be an array of integers")
+    with _at(where):
+        return Phrase(tuple(words), tuple(senses) if "senses" in doc else None)
 
 
 def _gather(items: list, column: np.ndarray) -> list:
@@ -313,10 +317,8 @@ def dictionary_from_doc(doc) -> list[DictionaryEntry]:
             raise FormatError("dictionary entry 'distance' must be a finite number")
         source = parse_type(str(_require(red_doc, "source", "reduction")))
         target = parse_type(str(_require(red_doc, "target", "reduction")))
-        try:
+        with _at(f"reduction cups {cups} on '{source}'"):
             reduction = Reduction.from_cups(source, [tuple(c) for c in cups])
-        except InvalidReductionError as exc:
-            raise FormatError(f"reduction cups {cups} on '{source}': {exc}") from exc
         if reduction.target != target:
             raise FormatError(
                 f"reduction cups {cups} take '{source}' to '{reduction.target}', "
@@ -324,8 +326,8 @@ def dictionary_from_doc(doc) -> list[DictionaryEntry]:
             )
         entries.append(
             DictionaryEntry(
-                _phrase_from_doc(_require(record, "source", "dictionary entry")),
-                _phrase_from_doc(_require(record, "target", "dictionary entry")),
+                _phrase_from_doc(record, "source"),
+                _phrase_from_doc(record, "target"),
                 reduction,
                 float(distance),
             )

@@ -15,7 +15,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import TypeMismatchError, UnknownBasicTypeError
+from .errors import NonFiniteError, TypeMismatchError, UnknownBasicTypeError
 from .grammar import PregroupType, Reduction
 
 
@@ -32,9 +32,10 @@ class LanguageModel:
     dims: dict[str, int]
 
     def __post_init__(self) -> None:
+        # True is a Python int, and a numpy integer is not
         for base, dim in self.dims.items():
-            if dim < 1:
-                raise ValueError(f"dimension of {base!r} must be >= 1, got {dim}")
+            if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 1:
+                raise ValueError(f"dimensions must be positive integers, but {base!r} has {dim!r}")
 
     def dim(self, base: str) -> int:
         try:
@@ -208,10 +209,15 @@ def apply_reduction(model: LanguageModel, r: Reduction, t: Tensor) -> Tensor:
 
 
 def normalize_sentence(model: LanguageModel, t: Tensor) -> Tensor:
-    """Collapse a one-dimensional sentence value: zero stays zero, anything else becomes one."""
+    """Collapse a one-dimensional sentence value: zero stays zero, anything
+    else finite becomes one, and a non-finite value raises ``NonFiniteError``."""
     if t.array.size != 1:
         raise TypeMismatchError(
             f"normalization needs a one-dimensional sentence value, got shape {list(t.shape)}"
         )
-    value = 0.0 if float(t.flat[0]) == 0.0 else 1.0
-    return Tensor._adopt(t.type, np.full(t.shape, value))
+    value = float(t.flat[0])
+    if not math.isfinite(value):
+        raise NonFiniteError(
+            f"sentence value {value} cannot be normalised: the arithmetic overflows float64"
+        )
+    return Tensor._adopt(t.type, np.full(t.shape, float(value != 0.0)))

@@ -95,10 +95,9 @@ def _alpha_block(t: Translation, s: SimpleType) -> np.ndarray:
     An odd adjoint exponent reverses the image word, so the block axes
     are reversed to match (a no-op for single-simple images).
     """
-    if s.base not in t.alpha:
-        raise UnknownBasicTypeError(f"no meaning matrix for {s.base!r}")
+    word = _image(t, SimpleType(s.base))  # j[s.base], once _image has checked the base
     matrix = t.alpha[s.base]
-    block = matrix.reshape(*space_shape(t.target_model, t.j[s.base]), matrix.shape[1])
+    block = matrix.reshape(*space_shape(t.target_model, word), matrix.shape[1])
     if s.z % 2:
         block = block.transpose(*reversed(range(block.ndim - 1)), block.ndim - 1)
     return block
@@ -343,14 +342,19 @@ def fit_alpha(
 
 
 def _rows_of(vectors: list, side: str) -> np.ndarray:
-    """The vectors of one side of the pairs as the rows of a matrix; they
-    must all be non-empty and of one length."""
-    shapes = sorted({np.shape(v) for v in vectors})
-    if len(shapes) > 1 or len(shapes[0]) != 1 or not shapes[0][0]:
-        raise TypeMismatchError(
-            f"pairs must hold non-empty vectors of one length, but the {side} vectors "
-            f"have shapes {', '.join(map(str, shapes))}"
-        )
+    """The vectors of one side of the pairs as the rows of a matrix; each
+    must be a non-empty vector as long as pair 1's."""
+    shapes = [np.shape(v) for v in vectors]
+    for number, shape in enumerate(shapes, start=1):
+        if len(shape) != 1:
+            raise TypeMismatchError(f"pair {number}'s {side} has shape {shape}, not a vector's")
+        if not shape[0]:
+            raise TypeMismatchError(f"pair {number} has an empty {side}")
+        if shape != shapes[0]:
+            raise TypeMismatchError(
+                f"pair {number}'s {side} has length {shape[0]}, "
+                f"but pair 1's has length {shapes[0][0]}"
+            )
     return np.asarray(vectors, dtype=float)
 
 

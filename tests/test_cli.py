@@ -1,15 +1,21 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import discotrans
-from discotrans import dictionary, io
+from discotrans import cli, dictionary, io
 from discotrans.cli import main
 from discotrans.demo import DROP_QUANTITY, collapse_number_translation, wardrobe_lexicon
 from discotrans.dictionary import DictionaryQuery, build_dictionary
@@ -77,6 +83,13 @@ def test_parse_of_a_long_type(capsys, pairs, expected):
         assert (out.count("\n"), err) == (1, "")
     else:
         assert (out, err) == ("", "error: a type is too long to search for reductions\n")
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_parse_max_below_one_names_the_option(capsys, value):
+    code, out, err = run(capsys, "parse", "--from", "n n^r s", "--to", "s", "--max", value)
+    assert (code, out) == (2, "")
+    assert err == f"error: --max: the number of reductions to list must be at least 1, got {value}\n"
 
 
 def test_parse_outcome_does_not_depend_on_earlier_searches():
@@ -573,6 +586,17 @@ def test_dict_budget_of_a_huge_length_cap_is_input_error(files, capsys):
     )
 
 
+def test_dict_negative_max_pairs_is_input_error(files, capsys):
+    code, out, err = run(
+        capsys,
+        "dict", "--lex-a", str(files / "aware.lex.json"),
+        "--lex-b", str(files / "blind.lex.json"),
+        "--translation", str(files / "collapse.json"),
+        "--max-pairs", "-5",
+    )
+    assert (code, out, err) == (2, "", "error: max_pairs must be at least 0, got -5\n")
+
+
 def test_dict_output_is_deterministic(files, capsys):
     argv = (
         "dict", "--lex-a", str(files / "aware.lex.json"),
@@ -749,6 +773,19 @@ def test_boolean_dimension_is_input_error(files, capsys):
     assert "positive integers" in err
 
 
+@pytest.mark.parametrize("dim", [2.5, "3", 0])
+def test_non_integer_dimension_names_the_model_field(files, capsys, dim):
+    path = files / "aware.lex.json"
+    doc = json.loads(path.read_text())
+    doc["model"]["basic_types"]["s"] = dim
+    io.save_doc(doc, path)
+    code, out, err = run(capsys, "meaning", "--lex", str(path), "--phrase", "Rosie", "--to", "n_s")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: model 'basic_types': dimensions must be positive integers, but 's' has {dim!r}\n"
+    )
+
+
 def test_lexicon_with_non_number_data_is_input_error(files, capsys):
     path = files / "aware.lex.json"
     doc = json.loads(path.read_text())
@@ -769,8 +806,8 @@ def test_lexicon_with_wrong_length_data_is_input_error(files, capsys):
     assert (code, out) == (2, "")
     size = len(record["data"]) - 1
     assert err == (
-        f"error: lexicon record {record['word']!r} of type '{record['type']}' "
-        f"needs {size} numbers in 'data', got {size + 1}\n"
+        f"error: lexicon record {record['word']!r} 'data': type '{record['type']}' "
+        f"in model {doc['model']['name']!r} needs {size} entries, got {size + 1}\n"
     )
 
 
@@ -869,3 +906,95 @@ def test_conflicting_model_declarations_rejected(files, tmp_path, capsys):
     )
     assert code == 2
     assert "declared twice" in err
+
+
+def test_an_internal_fault_is_one_line_and_exit_2(capsys, monkeypatch):
+    def broken(args):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "cmd_parse", broken)
+    code, out, err = run(capsys, "parse", "--from", "n", "--to", "n")
+    assert (code, out, err) == (2, "", "error: internal error: KeyError: 'boom'\n")
+
+
+# -- fuzzed documents ---------------------------------------------------------------
+
+_DELETE = object()
+_FUZZ_VALUES = [None, True, False, 0, -1, 2.5, 1e308, "", "n^r", [], [1], {}, [True, 1.0]]
+_FUZZ_COMMANDS = {
+    "meaning": ["--lex", "{aware}", "--phrase", "Rosie wears boots", "--to", "s"],
+    "translate": ["--lex", "{aware}", "--translation", "{collapse}",
+                  "--phrase", "Rosie wears boots", "--to", "s"],
+    "check": ["--translation", "{collapse}", "--from", "n_s n_s^r s n_p^l n_p", "--to", "s"],
+    "dict": ["--lex-a", "{aware}", "--lex-b", "{blind}", "--translation", "{collapse}",
+             "--max-source-len", "2", "--max-target-len", "2"],
+}
+
+
+def _demo_docs():
+    lex, t = wardrobe_lexicon(), collapse_number_translation()
+    return {
+        "aware": io.lexicon_to_doc(lex),
+        "blind": io.lexicon_to_doc(translate_lexicon(t, lex)),
+        "collapse": io.translation_to_doc(t),
+    }
+
+
+def _fields(node, path=()):
+    """The path of every field below ``node``: object keys and array indices."""
+    children = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in children:
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _fields(child, path + (key,))
+
+
+_DOCS = _demo_docs()
+_DOC_FIELDS = {name: list(_fields(doc)) for name, doc in _DOCS.items()}
+
+
+@st.composite
+def _mutated_run(draw):
+    """A command, its documents with one field replaced or deleted, and its options."""
+    command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    argv = _FUZZ_COMMANDS[command]
+    name = draw(st.sampled_from([n for n in sorted(_DOCS) if f"{{{n}}}" in argv]))
+    path = draw(st.sampled_from(_DOC_FIELDS[name]))
+    value = draw(st.sampled_from([_DELETE, *_FUZZ_VALUES]))
+    if command in ("meaning", "translate") and draw(st.booleans()):
+        argv = [*argv, "--normalize"]
+    return command, name, path, value, argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mutated_run())
+def test_mutated_documents_end_in_a_documented_exit(case):
+    # every outcome is one of the four exit codes with one-line messages, and
+    # exit 1 is a negative result, never a fault
+    command, name, path, value, argv = case
+    docs = json.loads(json.dumps(_DOCS))
+    *parents, last = path
+    parent = docs[name]
+    for key in parents:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[last]
+    else:
+        parent[last] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {doc_name: str(Path(tmp, f"{doc_name}.json")) for doc_name in docs}
+        for doc_name, doc in docs.items():
+            io.save_doc(doc, paths[doc_name])
+        argv = [a.format_map(paths) for a in argv]
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, *argv])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3)
+    assert all(re.match("(error|numeric error|warning): ", line) for line in err.splitlines())
+    assert "internal error" not in err
+    if code == 1:
+        no_reduction = re.fullmatch(r"error: no (sense assignment of|reduction from) .*\n", err)
+        failed_check = command == "check" and err == "" and json.loads(out)["passed"] is False
+        empty_dictionary = command == "dict" and (out, err) == ("", "")
+        assert no_reduction or failed_check or empty_dictionary

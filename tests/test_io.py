@@ -78,8 +78,24 @@ def test_tensor_with_wrong_length_data_is_format_error(aware_model):
     with pytest.raises(FormatError) as caught:
         io.tensor_from_doc(doc, aware_model)
     assert str(caught.value) == (
-        f"tensor of type 'n_s n_s^r s' needs {size} numbers in 'data', got 3"
+        f"tensor 'data': type 'n_s n_s^r s' in model {aware_model.name!r} "
+        f"needs {size} entries, got 3"
     )
+
+
+def test_a_library_error_names_its_place_in_the_document():
+    doc = {"format": 1, "name": "m", "basic_types": {"n": 2.5}}
+    with pytest.raises(FormatError) as caught:
+        io.model_from_doc(doc)
+    assert str(caught.value) == (
+        "model 'basic_types': dimensions must be positive integers, but 'n' has 2.5"
+    )
+
+
+def test_a_fault_inside_a_reader_is_not_a_format_error():
+    with pytest.raises(KeyError):
+        with io._at("somewhere"):
+            raise KeyError("a fault, not an input error")
 
 
 def test_dictionary_doc_round_trip(collapse, wardrobe):

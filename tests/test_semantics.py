@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discotrans.errors import TypeMismatchError, UnknownBasicTypeError
+from discotrans.errors import NonFiniteError, TypeMismatchError, UnknownBasicTypeError
 from discotrans.grammar import (
     PregroupType,
     Reduction,
@@ -37,6 +37,18 @@ from oracles import random_orthogonal, random_reduction, reduction_matrix
 def test_model_rejects_zero_dimension():
     with pytest.raises(ValueError):
         LanguageModel("bad", {"n": 0})
+
+
+@pytest.mark.parametrize("dim", [True, 2.5, "3", 0])
+def test_model_dimensions_are_positive_integers(dim):
+    # a bool is an int, so True must not pass as dimension 1
+    with pytest.raises(ValueError) as caught:
+        LanguageModel("bad", {"n": dim})
+    assert str(caught.value) == f"dimensions must be positive integers, but 'n' has {dim!r}"
+
+
+def test_model_accepts_numpy_integers():
+    assert LanguageModel("m", {"n": np.int64(3)}).dim("n") == 3
 
 
 def test_space_shape_of_verb_type():
@@ -202,6 +214,13 @@ def test_normalize_sentence_values(value, expected):
     model = LanguageModel("m", {"s": 1})
     t = make_tensor(model, parse_type("s"), [value])
     assert float(normalize_sentence(model, t).flat[0]) == expected
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_normalizing_a_non_finite_value_is_a_numeric_error(value):
+    model = LanguageModel("m", {"s": 1})
+    with pytest.raises(NonFiniteError, match="cannot be normalised"):
+        normalize_sentence(model, make_tensor(model, parse_type("s"), [value]))
 
 
 def test_normalize_rejects_non_scalars():
