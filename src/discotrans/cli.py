@@ -24,32 +24,16 @@ import numpy as np
 
 from . import io
 from .dictionary import DictionaryQuery, build_dictionary
-from .errors import (
-    DiscotransError,
-    ModelMismatchError,
-    NonFiniteError,
-    NoReductionError,
-    RankDeficientError,
-)
+from .errors import DiscotransError, NonFiniteError, NoReductionError, RankDeficientError
 from .grammar import parse_type, reduce_search
 from .lexicon import Lexicon, Phrase, phrase_meaning
-from .semantics import LanguageModel, normalize_sentence
+from .semantics import normalize_sentence
 from .translation import Translation, _image_lexicon, check_naturality, fit_alpha, nearest_unitary
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
-
-
-def _same_models(*models: LanguageModel) -> None:
-    """Two files mentioning the same model name must agree on its dimensions."""
-    known: dict[str, LanguageModel] = {}
-    for model in models:
-        if known.setdefault(model.name, model) != model:
-            raise ModelMismatchError(
-                f"model {model.name!r} is declared twice with different dimensions"
-            )
 
 
 def _print_doc(doc: dict) -> None:
@@ -115,13 +99,11 @@ def cmd_meaning(args) -> int:
 def cmd_translate(args) -> int:
     lex = _load(io.load_lexicon, args, "lex")
     t = _load(io.load_translation, args, "translation")
-    _same_models(lex.model, t.source_model, t.target_model)
     return _meaning_of(lex, args, t)
 
 
 def cmd_check(args) -> int:
     t = _load(io.load_translation, args, "translation")
-    _same_models(t.source_model, t.target_model)
     source = parse_type(args.source_type, t.source_model.basics)
     target = parse_type(args.target_type, t.source_model.basics)
     found = reduce_search(source, target, max_results=1)
@@ -156,7 +138,6 @@ def cmd_dict(args) -> int:
     lex_a = _load(io.load_lexicon, args, "lex-a")
     lex_b = _load(io.load_lexicon, args, "lex-b")
     t = _load(io.load_translation, args, "translation")
-    _same_models(lex_a.model, lex_b.model, t.source_model, t.target_model)
     type_filter = None
     if args.target_type is not None:
         type_filter = parse_type(args.target_type, lex_b.model.basics)
@@ -233,13 +214,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lex-b", required=True, help="target lexicon file")
     p.add_argument("--translation", required=True)
     p.add_argument("--k", type=float, default=None, help="distance threshold")
-    p.add_argument("--max-source-len", type=int, default=1)
-    p.add_argument("--max-target-len", type=int, default=1)
+    p.add_argument("--max-source-len", type=int, default=DictionaryQuery.max_source_len)
+    p.add_argument("--max-target-len", type=int, default=DictionaryQuery.max_target_len)
     p.add_argument("--to", dest="target_type", default=None, metavar="TYPE",
                    help="reduce both sides onto this type first")
     p.add_argument("--reduced-only", action="store_true",
                    help="shorthand for --to s")
-    p.add_argument("--max-pairs", type=int, default=100_000)
+    p.add_argument("--max-pairs", type=int, default=DictionaryQuery.max_pairs)
     p.add_argument("--json", action="store_true",
                    help="emit the structured document instead of rows")
     p.set_defaults(func=cmd_dict)

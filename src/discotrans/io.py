@@ -22,7 +22,7 @@ from .grammar import PregroupType, Reduction, parse_type
 from .lexicon import Lexicon, Phrase
 from .product_space import PSObject
 from .semantics import LanguageModel, Tensor, make_tensor
-from .translation import Translation, _rows_of
+from .translation import Translation, _pair_rows
 
 FORMAT_VERSION = 1
 
@@ -83,6 +83,12 @@ def _at(where: str):
         raise FormatError(f"{where}: {exc}") from exc
 
 
+def _type_of(value, where: str, basics=None) -> PregroupType:
+    """``value`` read as a type string; a bad one is reported at ``where``."""
+    with _at(where):
+        return parse_type(str(value), basics)
+
+
 def _numbers(value, what: str) -> np.ndarray:
     """``value`` as a float array; every element must be a finite JSON number.
 
@@ -137,7 +143,8 @@ def lexicon_from_doc(doc, base_dir: Path = Path(".")) -> Lexicon:
     entries: dict[str, list[PSObject]] = {}
     for record in records:
         word = str(_require(record, "word", "lexicon record"))
-        g = parse_type(str(_require(record, "type", "lexicon record")), model.basics)
+        type_string = _require(record, "type", "lexicon record")
+        g = _type_of(type_string, f"lexicon record {word!r} 'type'", model.basics)
         data = _require(record, "data", "lexicon record", list)
         tensor = _tensor_of(model, g, data, f"lexicon record {word!r}")
         entries.setdefault(word, []).append(PSObject.of(tensor))
@@ -170,10 +177,12 @@ def translation_from_doc(doc, base_dir: Path = Path(".")) -> Translation:
     j_doc = _require(doc, "j", "translation", dict)
     alpha_doc = _require(doc, "alpha", "translation", dict)
     j = {
-        str(b): parse_type(str(image), target.basics) for b, image in j_doc.items()
+        str(b): _type_of(image, f"translation 'j' image of {b!r}", target.basics)
+        for b, image in j_doc.items()
     }
     alpha = {str(b): _numbers(rows, f"alpha[{b!r}]") for b, rows in alpha_doc.items()}
-    return Translation(source, target, j, alpha)
+    with _at("translation document"):
+        return Translation(source, target, j, alpha)
 
 
 def translation_to_doc(t: Translation) -> dict:
@@ -201,7 +210,7 @@ def tensor_to_doc(t: Tensor) -> dict:
 
 def tensor_from_doc(doc, model: LanguageModel) -> Tensor:
     doc = _check_format(doc, "tensor")
-    g = parse_type(str(_require(doc, "type", "tensor")), model.basics)
+    g = _type_of(_require(doc, "type", "tensor"), "tensor 'type'", model.basics)
     return _tensor_of(model, g, _require(doc, "data", "tensor", list), "tensor")
 
 
@@ -228,11 +237,8 @@ def matrix_to_doc(matrix: np.ndarray) -> dict:
 
 
 def pairs_from_doc(doc) -> list[tuple[list[float], list[float]]]:
-    """The (source, target) vector pairs of a pairs document.
-
-    Each side's vectors must be as ``fit_alpha`` takes them: non-empty
-    and as long as pair 1's.
-    """
+    """The (source, target) vector pairs of a pairs document, as
+    ``fit_alpha`` takes them."""
     doc = _check_format(doc, "pairs")
     pairs = [
         tuple(
@@ -241,11 +247,8 @@ def pairs_from_doc(doc) -> list[tuple[list[float], list[float]]]:
         )
         for record in _require(doc, "pairs", "pairs", list)
     ]
-    if not pairs:
-        raise FormatError("pairs document holds no pairs")
     with _at("pairs document"):
-        for side, vectors in zip(("source", "target"), zip(*pairs)):
-            _rows_of(vectors, side)
+        _pair_rows(pairs)
     return pairs
 
 
@@ -315,8 +318,8 @@ def dictionary_from_doc(doc) -> list[DictionaryEntry]:
             and math.isfinite(distance)
         ):
             raise FormatError("dictionary entry 'distance' must be a finite number")
-        source = parse_type(str(_require(red_doc, "source", "reduction")))
-        target = parse_type(str(_require(red_doc, "target", "reduction")))
+        source = _type_of(_require(red_doc, "source", "reduction"), "reduction 'source'")
+        target = _type_of(_require(red_doc, "target", "reduction"), "reduction 'target'")
         with _at(f"reduction cups {cups} on '{source}'"):
             reduction = Reduction.from_cups(source, [tuple(c) for c in cups])
         if reduction.target != target:

@@ -36,6 +36,8 @@ class LanguageModel:
         for base, dim in self.dims.items():
             if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 1:
                 raise ValueError(f"dimensions must be positive integers, but {base!r} has {dim!r}")
+        # the model's own dict of Python ints: the caller's dict may change later
+        object.__setattr__(self, "dims", {base: int(dim) for base, dim in self.dims.items()})
 
     def dim(self, base: str) -> int:
         try:
@@ -130,8 +132,9 @@ def unit_scalar(value: float = 1.0) -> Tensor:
 
 
 def tensor_product(u: Tensor, v: Tensor) -> Tensor:
-    """Outer product; flattens row-major to the Kronecker product."""
-    return Tensor._adopt(u.type @ v.type, np.multiply.outer(u.array, v.array))
+    """Outer product (``_join`` with no batch axes); flattens row-major to
+    the Kronecker product."""
+    return Tensor._adopt(u.type @ v.type, _join(u.array, v.array, 0, 0))
 
 
 def _contract(r: Reduction, *arrays: np.ndarray) -> np.ndarray:

@@ -38,7 +38,8 @@ class Translation:
 
     ``alpha[b]`` maps the source space of ``b`` (columns) into the
     flattened target space of ``j[b]`` (rows).  Both maps keep exactly the
-    source model's basic types; keys for any other type are dropped.
+    source model's basic types; keys for any other type are dropped.  A
+    source and a target model of one name must be one model.
     """
 
     source_model: LanguageModel
@@ -47,6 +48,7 @@ class Translation:
     alpha: Mapping[str, np.ndarray]
 
     def __post_init__(self) -> None:
+        _same_model(self.source_model, self.target_model)
         frozen_j, frozen_alpha = {}, {}
         for base in self.source_model.dims:
             if base not in self.j:
@@ -68,6 +70,12 @@ class Translation:
             frozen_alpha[base] = matrix
         object.__setattr__(self, "j", frozen_j)
         object.__setattr__(self, "alpha", frozen_alpha)
+
+
+def _same_model(a: LanguageModel, b: LanguageModel) -> None:
+    """A model name names one model: two models of one name must be equal."""
+    if a.name == b.name and a != b:
+        raise ModelMismatchError(f"model {a.name!r} is declared twice with different dimensions")
 
 
 def identity_translation(model: LanguageModel) -> Translation:
@@ -167,7 +175,9 @@ def translate_morphism(
 
 def _check_model(lex: Lexicon, model: LanguageModel) -> None:
     """A lexicon meets a translation only at the model the translation
-    starts at (source side) or lands in (target side)."""
+    starts at (source side) or lands in (target side); a model of the same
+    name with other dimensions is reported as a model declared twice."""
+    _same_model(lex.model, model)
     if lex.model != model:
         raise ModelMismatchError(
             f"lexicon uses model {lex.model.name!r}, the translation needs {model.name!r}"
@@ -313,32 +323,30 @@ def fit_alpha(
     ----------
     pairs : sequence of (source, target) vector pairs
     unitary : bool
-        When set (square case only), replace the fit with its nearest
-        orthogonal matrix.
+        When set, replace the fit with its nearest orthogonal matrix;
+        ``nearest_unitary`` refuses a fit that is not square.
 
     Returns
     -------
     (d_out, d_in) ndarray minimizing the summed squared residuals; for
     underdetermined systems the minimal-norm solution, with a warning.
     """
-    if not pairs:
-        raise ValueError("at least one pair is required")
-    sources = _rows_of([p[0] for p in pairs], "source")
-    targets = _rows_of([p[1] for p in pairs], "target")
+    sources, targets = _pair_rows(pairs)
     solution, _, rank, _ = np.linalg.lstsq(sources, targets, rcond=None)
     if rank < sources.shape[1]:
         warnings.warn(
             "fit is underdetermined; returning the minimal-norm solution",
             stacklevel=2,
         )
-    matrix = solution.T
-    if unitary:
-        if matrix.shape[0] != matrix.shape[1]:
-            raise ValueError(
-                f"cannot orthogonalize a {matrix.shape[0]}x{matrix.shape[1]} fit"
-            )
-        matrix = nearest_unitary(matrix)
-    return matrix
+    return nearest_unitary(solution.T) if unitary else solution.T
+
+
+def _pair_rows(pairs: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """The source and the target vectors of ``pairs`` as the rows of two
+    matrices; there must be at least one pair."""
+    if not pairs:
+        raise ValueError("at least one pair is required")
+    return _rows_of([p[0] for p in pairs], "source"), _rows_of([p[1] for p in pairs], "target")
 
 
 def _rows_of(vectors: list, side: str) -> np.ndarray:

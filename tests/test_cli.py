@@ -137,6 +137,19 @@ def test_parse_model_constrains_basics(files, tmp_path, capsys):
 
 # -- meaning and translate ------------------------------------------------------------
 
+def test_meaning_names_the_record_of_a_bad_type(files, capsys):
+    path = files / "aware.lex.json"
+    doc = json.loads(path.read_text())
+    record = next(r for r in doc["words"] if r["word"] == "wears")
+    record["type"] = "n_q"
+    io.save_doc(doc, path)
+    code, out, err = run(
+        capsys, "meaning", "--lex", str(path), "--phrase", "Rosie wears boots", "--to", "s"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: lexicon record 'wears' 'type': unknown basic type 'n_q'\n"
+
+
 def test_meaning_of_plain_sentence(files, capsys):
     code, out, _ = run(
         capsys,
@@ -372,6 +385,13 @@ def test_check_identity_translation_passes(files, tmp_path, capsys):
     assert doc["max_residual"] == 0
 
 
+def test_check_without_a_reduction_is_negative(files, capsys):
+    code, out, err = run(
+        capsys, "check", "--translation", str(files / "collapse.json"), "--from", "n_s", "--to", "s"
+    )
+    assert (code, out, err) == (1, "", "error: no reduction from 'n_s' to 's' to check\n")
+
+
 # an infinite tolerance is rejected too: no document may hold it
 @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
 def test_check_nan_or_negative_tolerance_is_input_error(files, capsys, tolerance):
@@ -474,6 +494,29 @@ def test_fit_on_mismatched_vectors_is_input_error(tmp_path, capsys, pairs, messa
     code, out, err = run(capsys, "fit", "--pairs", str(tmp_path / "pairs.json"))
     assert (code, out) == (2, "")
     assert err == f"error: pairs document: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([], "at least one pair is required"),
+        ([{"source": [[1, 0]], "target": [1]}], "pair 1's source has shape (1, 2), not a vector's"),
+    ],
+    ids=["no-pairs", "matrix-source"],
+)
+def test_fit_on_pairs_that_fit_alpha_refuses_is_input_error(tmp_path, capsys, pairs, message):
+    io.save_doc({"format": 1, "pairs": pairs}, tmp_path / "pairs.json")
+    code, out, err = run(capsys, "fit", "--pairs", str(tmp_path / "pairs.json"))
+    assert (code, out, err) == (2, "", f"error: pairs document: {message}\n")
+
+
+def test_unitary_fit_of_a_non_square_matrix_is_input_error(tmp_path, capsys):
+    # 2-vectors to 1-vectors fit a 1x2 matrix, which nearest_unitary refuses
+    pairs = [{"source": [1, 0], "target": [1]}, {"source": [0, 1], "target": [2]}]
+    io.save_doc({"format": 1, "pairs": pairs}, tmp_path / "pairs.json")
+    code, out, err = run(capsys, "fit", "--pairs", str(tmp_path / "pairs.json"), "--unitary")
+    assert (code, out) == (2, "")
+    assert err == "error: expected a non-empty square matrix, got shape (1, 2)\n"
 
 
 def test_fit_unitary_outputs_orthogonal(tmp_path, capsys, rng):
@@ -904,8 +947,11 @@ def test_conflicting_model_declarations_rejected(files, tmp_path, capsys):
         "--lex-b", str(tmp_path / "impostor.lex.json"),
         "--translation", str(files / "collapse.json"),
     )
+    # --lex-b's model is not the translation's target, whatever its name
     assert code == 2
-    assert "declared twice" in err
+    assert err == (
+        "error: lexicon uses model 'number-aware', the translation needs 'number-blind'\n"
+    )
 
 
 def test_an_internal_fault_is_one_line_and_exit_2(capsys, monkeypatch):

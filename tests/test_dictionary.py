@@ -247,6 +247,13 @@ def test_budget_cap_raises():
         )
 
 
+@pytest.mark.parametrize("cap", ["max_source_len", "max_target_len"])
+def test_length_caps_must_be_at_least_one(cap):
+    with pytest.raises(ValueError) as caught:
+        DictionaryQuery(**{cap: 0})
+    assert str(caught.value) == "phrase length caps must be at least 1"
+
+
 def test_model_mismatch_rejected(collapse, wardrobe):
     lex_a, _, _ = _mini_pair()
     with pytest.raises(ModelMismatchError):

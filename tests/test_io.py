@@ -92,6 +92,49 @@ def test_a_library_error_names_its_place_in_the_document():
     )
 
 
+def test_a_lexicon_type_string_is_reported_with_its_record(wardrobe):
+    doc = io.lexicon_to_doc(wardrobe)
+    doc["words"][1]["type"] = "n_q"
+    with pytest.raises(FormatError) as caught:
+        io.lexicon_from_doc(doc)
+    word = doc["words"][1]["word"]
+    assert str(caught.value) == f"lexicon record {word!r} 'type': unknown basic type 'n_q'"
+
+
+def test_a_tensor_type_string_is_reported_with_its_place(aware_model):
+    doc = {"format": 1, "type": "n_s^x", "data": [1.0, 2.0, 3.0, 4.0]}
+    with pytest.raises(FormatError) as caught:
+        io.tensor_from_doc(doc, aware_model)
+    assert str(caught.value) == "tensor 'type': malformed simple type 'n_s^x'"
+
+
+def test_a_grammar_map_image_is_reported_with_its_base(collapse):
+    doc = io.translation_to_doc(collapse)
+    doc["j"]["n_p"] = "n_p"
+    with pytest.raises(FormatError) as caught:
+        io.translation_from_doc(doc)
+    assert str(caught.value) == "translation 'j' image of 'n_p': unknown basic type 'n_p'"
+
+
+def test_a_translation_rule_is_reported_with_its_document(collapse):
+    doc = io.translation_to_doc(collapse)
+    doc["alpha"]["s"] = [[1.0, 0.0]]
+    with pytest.raises(FormatError) as caught:
+        io.translation_from_doc(doc)
+    assert str(caught.value) == (
+        "translation document: alpha['s'] has shape (1, 2), expected (1, 1)"
+    )
+
+
+@pytest.mark.parametrize("key", ["source", "target"])
+def test_a_reduction_type_string_is_reported_with_its_place(key):
+    doc = _entry_doc()
+    doc["entries"][0]["reduction"][key] = "n^"
+    with pytest.raises(FormatError) as caught:
+        io.dictionary_from_doc(doc)
+    assert str(caught.value) == f"reduction {key!r}: malformed simple type 'n^'"
+
+
 def test_a_fault_inside_a_reader_is_not_a_format_error():
     with pytest.raises(KeyError):
         with io._at("somewhere"):

@@ -1,3 +1,4 @@
+import json
 import time
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from discotrans import io
 from discotrans.errors import NonFiniteError, TypeMismatchError, UnknownBasicTypeError
 from discotrans.grammar import (
     PregroupType,
@@ -49,6 +51,22 @@ def test_model_dimensions_are_positive_integers(dim):
 
 def test_model_accepts_numpy_integers():
     assert LanguageModel("m", {"n": np.int64(3)}).dim("n") == 3
+
+
+def test_model_dimensions_are_python_ints():
+    # so every writer that embeds the model makes a document json can print
+    model = LanguageModel("m", {"n": np.int64(3)})
+    assert type(model.dim("n")) is int
+    doc = json.dumps(io.model_to_doc(model))
+    assert doc == '{"format": 1, "name": "m", "basic_types": {"n": 3}}'
+
+
+def test_model_keeps_its_own_dimensions():
+    dims = {"n": 3}
+    model = LanguageModel("m", dims)
+    dims["n"] = 0
+    dims["s"] = 1
+    assert model.dims == {"n": 3}
 
 
 def test_space_shape_of_verb_type():
@@ -155,6 +173,21 @@ def test_tensor_product_norm_multiplies(rng):
         left = np.linalg.norm(tensor_product(u, v).flat)
         right = np.linalg.norm(u.flat) * np.linalg.norm(v.flat)
         assert left == pytest.approx(right, abs=1e-9)
+
+
+def test_tensor_product_is_the_outer_product_of_any_ranks(rng):
+    model = LanguageModel("m", {"x": 2, "y": 3})
+    words = [parse_type(w) for w in ("", "x", "x y", "y x^l y")]
+    for g in words:
+        for h in words:
+            u = make_tensor(model, g, rng.standard_normal(_shape_size(model, g)))
+            v = make_tensor(model, h, rng.standard_normal(_shape_size(model, h)))
+            out = tensor_product(u, v)
+            expected = np.multiply.outer(u.array, v.array)
+            assert out.type == g @ h
+            assert out.array.flags.c_contiguous
+            assert out.array.tobytes() == np.ascontiguousarray(expected).tobytes()
+            assert out.shape == np.shape(expected)
 
 
 def _shape_size(model, g):

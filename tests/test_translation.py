@@ -96,6 +96,19 @@ def test_extra_keys_are_dropped(blind_model):
             alpha_component(t, g, np.ones(1))
 
 
+def test_a_model_name_names_one_model(blind_model):
+    # source and target share a name but not their dimensions
+    impostor = LanguageModel(blind_model.name, {"n": 2, "s": 1})
+    with pytest.raises(ModelMismatchError) as caught:
+        Translation(
+            impostor,
+            blind_model,
+            j={"n": parse_type("n"), "s": parse_type("s")},
+            alpha={"n": np.ones((3, 2)), "s": np.eye(1)},
+        )
+    assert str(caught.value) == "model 'number-blind' is declared twice with different dimensions"
+
+
 def test_alpha_shape_checked(aware_model, blind_model):
     with pytest.raises(TypeMismatchError):
         Translation(
@@ -289,6 +302,20 @@ def test_lexicon_model_mismatch_has_one_wording(caller, collapse, wardrobe):
         else:
             build_dictionary(lex, lex, collapse, DictionaryQuery())
     assert str(caught.value) == f"lexicon uses model {uses!r}, the translation needs {wants!r}"
+
+
+@pytest.mark.parametrize("caller", ["translate_lexicon", "build_dictionary"])
+def test_a_lexicon_model_of_the_source_name_must_be_the_source(caller, collapse, wardrobe):
+    # the lexicon's model has the translation source's name, other dimensions
+    impostor = LanguageModel(collapse.source_model.name, {"n_s": 2, "n_p": 2, "n": 2, "s": 1})
+    lex = Lexicon(impostor, {"w": (PSObject.of(make_tensor(impostor, parse_type("n_s"), [1, 0])),)})
+    with pytest.raises(ModelMismatchError) as caught:
+        if caller == "translate_lexicon":
+            translate_lexicon(collapse, lex)
+        else:
+            blind = translate_lexicon(collapse, wardrobe)
+            build_dictionary(lex, blind, collapse, DictionaryQuery())
+    assert str(caught.value) == "model 'number-aware' is declared twice with different dimensions"
 
 
 # -- reductions and morphisms ------------------------------------------------------------
@@ -760,14 +787,17 @@ def test_underdetermined_fit_warns_and_returns_min_norm():
 
 
 def test_unitary_flag_requires_square():
+    # the square rule is nearest_unitary's own
     pairs = [([1.0, 0.0], [1.0]), ([0.0, 1.0], [2.0])]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as caught:
         fit_alpha(pairs, unitary=True)
+    assert str(caught.value) == "expected a non-empty square matrix, got shape (1, 2)"
 
 
 def test_fit_needs_pairs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as caught:
         fit_alpha([])
+    assert str(caught.value) == "at least one pair is required"
 
 
 @pytest.mark.parametrize(
@@ -817,6 +847,15 @@ def test_adjective_order_swap_is_not_functorial():
                 (parse_type("a n"), parse_type("n2 a2")),
             ]
         )
+
+
+def test_solver_rejects_an_image_with_words_left_over():
+    # 'n' is fixed to 'n2', so 'n' cannot also send to 'n2 n2'
+    with pytest.raises(NonFunctorialTranslationError) as caught:
+        solve_generator_map(
+            [(parse_type("n"), parse_type("n2")), (parse_type("n"), parse_type("n2 n2"))]
+        )
+    assert str(caught.value) == "images of 'n' leave 'n2' of 'n2 n2' unaccounted for"
 
 
 def test_solver_reports_underdetermined_generators():
