@@ -50,7 +50,7 @@ def main() -> int:
     print("  the quantity distinction is lost in the number-blind model.")
 
     sentence_type = parse_type("n_s n_s^r s n_p^l n_p")
-    reduction = Reduction.from_cups(sentence_type, [(0, 1), (3, 4)])
+    reduction = Reduction(sentence_type, [(0, 1), (3, 4)])
     report = check_naturality(t, reduction)
     print(
         f"\nnaturality of the collapse on the sentence reduction: "

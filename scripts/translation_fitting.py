@@ -39,7 +39,7 @@ def residual_for(matrix: np.ndarray) -> float:
         {"n": matrix, "s": np.eye(1)},
     )
     sentence = parse_type("n n^r s")
-    r = Reduction.from_cups(sentence, [(0, 1)])
+    r = Reduction(sentence, [(0, 1)])
     return check_naturality(t, r).max_residual
 
 

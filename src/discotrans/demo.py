@@ -51,7 +51,7 @@ def wardrobe_lexicon() -> Lexicon:
     model = number_aware_model()
 
     def entry(type_text: str, data) -> PSObject:
-        return PSObject.of(make_tensor(model, parse_type(type_text), data))
+        return PSObject(make_tensor(model, parse_type(type_text), data))
 
     wears = tuple(
         entry(f"{subj}^r s {obj}^l", WEARS_MATRIX.reshape(4, 1, 4))

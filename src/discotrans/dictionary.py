@@ -126,9 +126,11 @@ def _candidate_count(lex: Lexicon, max_len: int, cap: int) -> int:
     """The number of phrases-with-senses up to ``max_len`` words or, when
     that exceeds ``cap``, a smaller number that still exceeds it."""
     per_position = sum(len(senses) for senses in lex.entries.values())
-    if per_position > 1:
-        # the phrases of cap.bit_length() + 1 words alone outnumber cap
-        max_len = min(max_len, cap.bit_length() + 1)
+    if per_position <= 1:
+        # no phrase at all, or one of each length
+        return per_position * max_len
+    # the phrases of cap.bit_length() + 1 words alone outnumber cap
+    max_len = min(max_len, cap.bit_length() + 1)
     return sum(per_position**length for length in range(1, max_len + 1))
 
 
@@ -163,6 +165,8 @@ class _PhraseBuckets:
         self.plan: dict[PregroupType, list[tuple[int, ...]]] = {}
         level = [((i,), g) for i, g in enumerate(by_type)]
         for length in range(1, max_len + 1):
+            if not level:
+                break  # a lexicon without words has no phrase of any length
             if length > 1:
                 level = [(seq + (i,), g @ h) for seq, g in level for i, h in enumerate(by_type)]
             for seq, g in level:

@@ -280,7 +280,7 @@ def reduce_search(
     if not chart.reduces(0, len(source), 0):
         return []
     walk = chart.walk(0, len(source), 0)
-    return [Reduction.from_cups(source, cups) for cups in islice(walk, max_results)]
+    return [Reduction(source, cups) for cups in islice(walk, max_results)]
 
 
 def free_group_image(g: PregroupType) -> tuple[tuple[BasicType, int], ...]:

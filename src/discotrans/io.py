@@ -147,7 +147,7 @@ def lexicon_from_doc(doc, base_dir: Path = Path(".")) -> Lexicon:
         g = _type_of(type_string, f"lexicon record {word!r} 'type'", model.basics)
         data = _require(record, "data", "lexicon record", list)
         tensor = _tensor_of(model, g, data, f"lexicon record {word!r}")
-        entries.setdefault(word, []).append(PSObject.of(tensor))
+        entries.setdefault(word, []).append(PSObject(tensor))
     return Lexicon(model, {w: tuple(objs) for w, objs in entries.items()})
 
 
@@ -321,7 +321,7 @@ def dictionary_from_doc(doc) -> list[DictionaryEntry]:
         source = _type_of(_require(red_doc, "source", "reduction"), "reduction 'source'")
         target = _type_of(_require(red_doc, "target", "reduction"), "reduction 'target'")
         with _at(f"reduction cups {cups} on '{source}'"):
-            reduction = Reduction.from_cups(source, [tuple(c) for c in cups])
+            reduction = Reduction(source, cups)
         if reduction.target != target:
             raise FormatError(
                 f"reduction cups {cups} take '{source}' to '{reduction.target}', "

@@ -11,10 +11,12 @@ tried.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
 from operator import matmul
+from types import MappingProxyType
 
 from .errors import NoReductionError, SenseIndexError, UnknownWordError
 from .grammar import PregroupType, Reduction, reduce_search
@@ -25,7 +27,7 @@ from .semantics import LanguageModel, Tensor, apply_reduction, space_shape
 @dataclass(frozen=True)
 class Lexicon:
     model: LanguageModel
-    entries: dict[str, tuple[PSObject, ...]]
+    entries: Mapping[str, tuple[PSObject, ...]]
 
     def __post_init__(self) -> None:
         normalized = {}
@@ -41,7 +43,7 @@ class Lexicon:
                         f"{space_shape(self.model, obj.type)} for '{obj.type}'"
                     )
             normalized[word] = objs
-        object.__setattr__(self, "entries", normalized)
+        object.__setattr__(self, "entries", MappingProxyType(normalized))
 
     @property
     def words(self) -> list[str]:

@@ -28,10 +28,6 @@ class PSObject:
     def type(self) -> PregroupType:
         return self.meaning.type
 
-    @classmethod
-    def of(cls, meaning: Tensor) -> PSObject:
-        return cls(meaning)
-
 
 @dataclass(frozen=True)
 class PSMorphism:
@@ -83,7 +79,7 @@ def ps_compose(
 
 def ps_tensor(a: PSObject, b: PSObject) -> PSObject:
     """Monoidal product: concatenate types, outer-multiply meanings."""
-    return PSObject.of(tensor_product(a.meaning, b.meaning))
+    return PSObject(tensor_product(a.meaning, b.meaning))
 
 
 def ps_tensor_morphism(

@@ -10,8 +10,10 @@ axis pair against the canonical dot product.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import reduce
+from types import MappingProxyType
 
 import numpy as np
 
@@ -29,15 +31,16 @@ class LanguageModel:
     """
 
     name: str
-    dims: dict[str, int]
+    dims: Mapping[str, int]
 
     def __post_init__(self) -> None:
         # True is a Python int, and a numpy integer is not
         for base, dim in self.dims.items():
             if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 1:
                 raise ValueError(f"dimensions must be positive integers, but {base!r} has {dim!r}")
-        # the model's own dict of Python ints: the caller's dict may change later
-        object.__setattr__(self, "dims", {base: int(dim) for base, dim in self.dims.items()})
+        # the model's own read-only mapping of Python ints: the caller's dict may change later
+        dims = {base: int(dim) for base, dim in self.dims.items()}
+        object.__setattr__(self, "dims", MappingProxyType(dims))
 
     def dim(self, base: str) -> int:
         try:
@@ -179,7 +182,8 @@ def _contract(r: Reduction, *arrays: np.ndarray) -> np.ndarray:
             opened.remove(j)
         for _ in closed:
             # the innermost cup's diagonal, its index summed in ascending order
-            out = reduce(np.add, np.moveaxis(out, batch + len(opened), 0))
+            axis = batch + len(opened)
+            out = reduce(np.add, out.transpose(axis, *range(axis), *range(axis + 1, out.ndim)))
         start = stop
     return out
 
@@ -189,9 +193,10 @@ def _join(out: np.ndarray, a: np.ndarray, batch: int, extra: int) -> np.ndarray:
     every batch axis in front: ``out``'s ``batch`` leading axes, then
     ``a``'s ``extra``, then the other axes of ``out`` and of ``a``."""
     joined = np.empty((*out.shape[:batch], *a.shape[:extra], *out.shape[batch:], *a.shape[extra:]))
-    # written through a view in the axis order ``np.multiply.outer`` makes
-    k, moved = out.ndim, range(batch, batch + extra)
-    np.multiply.outer(out, a, out=np.moveaxis(joined, moved, range(k, k + extra)))
+    # written through a view in the axis order ``np.multiply.outer`` makes: out's, then a's
+    k = out.ndim + extra
+    order = *range(batch), *range(batch + extra, k), *range(batch, batch + extra)
+    np.multiply.outer(out, a, out=joined.transpose(*order, *range(k, joined.ndim)))
     return joined
 
 

@@ -15,6 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import accumulate
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -38,8 +39,9 @@ class Translation:
 
     ``alpha[b]`` maps the source space of ``b`` (columns) into the
     flattened target space of ``j[b]`` (rows).  Both maps keep exactly the
-    source model's basic types; keys for any other type are dropped.  A
-    source and a target model of one name must be one model.
+    source model's basic types; keys for any other type are dropped, and
+    neither map can be written to.  A source and a target model of one
+    name must be one model.
     """
 
     source_model: LanguageModel
@@ -68,8 +70,8 @@ class Translation:
             matrix = matrix.copy()
             matrix.flags.writeable = False
             frozen_alpha[base] = matrix
-        object.__setattr__(self, "j", frozen_j)
-        object.__setattr__(self, "alpha", frozen_alpha)
+        object.__setattr__(self, "j", MappingProxyType(frozen_j))
+        object.__setattr__(self, "alpha", MappingProxyType(frozen_alpha))
 
 
 def _same_model(a: LanguageModel, b: LanguageModel) -> None:
@@ -135,13 +137,13 @@ def alpha_component(t: Translation, g: PregroupType, array) -> np.ndarray:
         image_rank += block.ndim - 1
     # the g axes were consumed from the front and the image axes appended,
     # so the pass-through axes now lead; move them back behind the image
-    return np.moveaxis(array, range(extra), range(image_rank, image_rank + extra))
+    return array.transpose(*range(extra, extra + image_rank), *range(extra))
 
 
 def translate_object(t: Translation, o: PSObject) -> PSObject:
     """Image of an object: its meaning pushed through alpha axis by axis."""
     image = alpha_component(t, o.type, o.meaning.array)
-    return PSObject.of(Tensor._adopt(j_apply(t, o.type), image))
+    return PSObject(Tensor._adopt(j_apply(t, o.type), image))
 
 
 def translate_reduction(t: Translation, r: Reduction) -> Reduction:

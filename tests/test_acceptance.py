@@ -69,7 +69,7 @@ def _random_word(rng, bases=("x", "y"), max_len=4):
 
 def _random_obj(rng, model, g):
     size = int(np.prod(space_shape(model, g), dtype=int))
-    return PSObject.of(make_tensor(model, g, rng.standard_normal(size)))
+    return PSObject(make_tensor(model, g, rng.standard_normal(size)))
 
 
 def _random_translation(rng, source_model, target_model):
@@ -339,7 +339,7 @@ def _five_word_pair():
     tgt = LanguageModel("animales", {"x": 2, "s": 1})
 
     def obj(model, type_text, data):
-        return PSObject.of(make_tensor(model, parse_type(type_text), data))
+        return PSObject(make_tensor(model, parse_type(type_text), data))
 
     lex_a = Lexicon(
         src,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -328,8 +329,8 @@ def _overflowing_meaning_files(tmp_path):
     """A lexicon whose two-word sentence overflows float64, and an identity translation."""
     model = LanguageModel("m", {"n": 2, "s": 1})
     lex = Lexicon(model, {
-        "big": (PSObject.of(make_tensor(model, parse_type("n"), [1e200, 1.0])),),
-        "runs": (PSObject.of(make_tensor(model, parse_type("n^r s"), [1e200, 1.0])),),
+        "big": (PSObject(make_tensor(model, parse_type("n"), [1e200, 1.0])),),
+        "runs": (PSObject(make_tensor(model, parse_type("n^r s"), [1e200, 1.0])),),
     })
     io.save_doc(io.lexicon_to_doc(lex), tmp_path / "big.lex.json")
     io.save_doc(io.translation_to_doc(identity_translation(model)), tmp_path / "id.json")
@@ -629,6 +630,32 @@ def test_dict_budget_of_a_huge_length_cap_is_input_error(files, capsys):
     )
 
 
+@pytest.mark.parametrize("words, expected", [
+    # one word with one sense: a phrase per length, 10^9 of them
+    (slice(1), (2, "", "error: more than the cap of 100000 phrase pairs; "
+                       "raise max_pairs or lower the length limits\n")),
+    # no words: no phrase of any length, so an empty dictionary
+    (slice(0), (1, "", "")),
+])
+def test_dict_huge_length_cap_on_a_small_lexicon_is_answered_at_once(
+    files, capsys, words, expected
+):
+    path = files / "aware.lex.json"
+    doc = json.loads(path.read_text())
+    doc["words"] = doc["words"][words]
+    io.save_doc(doc, path)
+    start = time.perf_counter()
+    result = run(
+        capsys,
+        "dict", "--lex-a", str(path),
+        "--lex-b", str(files / "blind.lex.json"),
+        "--translation", str(files / "collapse.json"),
+        "--max-source-len", "1000000000",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert result == expected
+
+
 def test_dict_negative_max_pairs_is_input_error(files, capsys):
     code, out, err = run(
         capsys,
@@ -649,6 +676,53 @@ def test_dict_output_is_deterministic(files, capsys):
     first = run(capsys, *argv)
     second = run(capsys, *argv)
     assert first == second
+
+
+_DEMO_DICT = [
+    "dict", "--lex-a", "{files}/aware.lex.json", "--lex-b", "{files}/blind.lex.json",
+    "--translation", "{files}/collapse.json",
+    "--max-source-len", "3", "--max-target-len", "3", "--k", "0",
+]
+_DEMO_MEANING = ["meaning", "--lex", "{files}/aware.lex.json", "--to", "s", "--phrase"]
+_DEMO_TRANSLATE = [
+    "translate", "--translation", "{files}/collapse.json",
+    "--lex", "{files}/aware.lex.json", "--to", "s", "--phrase",
+]
+
+
+# the demo data are small integers and these dictionaries keep only exact
+# zeros, so the bytes do not depend on the BLAS build
+@pytest.mark.parametrize("argv, code, sha256", [
+    (_DEMO_DICT, 0, "583aca4a91498f2ddb88deb0a7d7a8a3b69a11bc394daba0df588842e956aa62"),
+    (_DEMO_DICT + ["--to", "s"], 0,
+     "ab999e0558541aff41c46b5caf4b1b1f5f92c85d28774aec750225926ddddfbd"),
+    (_DEMO_DICT + ["--to", "s", "--json"], 0,
+     "e22b5609cb62f5aa22c890139860f13ffc620760d26c5553ea432ce2ba57cd11"),
+    (_DEMO_MEANING + ["Rosie wears boots"], 0,
+     "0bc869ac162317bdfea6d1aedc94b0ea470ab7370613146ccac777b95175541a"),
+    (_DEMO_MEANING + ["Rosie wears boots", "--normalize"], 0,
+     "0bc869ac162317bdfea6d1aedc94b0ea470ab7370613146ccac777b95175541a"),
+    (_DEMO_MEANING + ["Rosie wears a_boot"], 0,
+     "4fb5a23a0e98e09ab10420ce0d3df26035b85835d1d52c3d3d0aa31fd4c61101"),
+    (_DEMO_MEANING + ["Rosie wears a_boot", "--normalize"], 0,
+     "71cbf74911a49418ff3714892f37ad7b15f88972baad5073de9dce108a36d519"),
+    (_DEMO_TRANSLATE + ["Rosie wears boots"], 0,
+     "0bc869ac162317bdfea6d1aedc94b0ea470ab7370613146ccac777b95175541a"),
+    (_DEMO_TRANSLATE + ["Rosie wears boots", "--normalize"], 0,
+     "0bc869ac162317bdfea6d1aedc94b0ea470ab7370613146ccac777b95175541a"),
+    (_DEMO_TRANSLATE + ["Rosie wears a_boot"], 0,
+     "0bc869ac162317bdfea6d1aedc94b0ea470ab7370613146ccac777b95175541a"),
+    (_DEMO_TRANSLATE + ["Rosie wears a_boot", "--normalize"], 0,
+     "0bc869ac162317bdfea6d1aedc94b0ea470ab7370613146ccac777b95175541a"),
+    (_DEMO_TRANSLATE + ["Rosie wears boots", "--senses", "0,1,0"], 0,
+     "0bc869ac162317bdfea6d1aedc94b0ea470ab7370613146ccac777b95175541a"),
+    (["check", "--translation", "{files}/collapse.json",
+      "--from", "n_s n_s^r s n_p^l n_p", "--to", "s"], 1,
+     "b52a7de94bfb248042c950f4409cf417c01c8790b57f6b2116013c7019f86307"),
+])
+def test_demo_outputs_are_pinned_byte_for_byte(files, capsys, argv, code, sha256):
+    got = run(capsys, *(arg.format(files=files) for arg in argv))
+    assert (got[0], hashlib.sha256(got[1].encode()).hexdigest(), got[2]) == (code, sha256, "")
 
 
 def _demo_dict(files):
@@ -938,7 +1012,7 @@ def test_conflicting_model_declarations_rejected(files, tmp_path, capsys):
     impostor = LanguageModel("number-aware", {"n_s": 2, "n_p": 2, "n": 2, "s": 1})
     lex = Lexicon(
         impostor,
-        {"w": (PSObject.of(make_tensor(impostor, parse_type("n_s"), [1, 0])),)},
+        {"w": (PSObject(make_tensor(impostor, parse_type("n_s"), [1, 0])),)},
     )
     io.save_doc(io.lexicon_to_doc(lex), tmp_path / "impostor.lex.json")
     code, _, err = run(

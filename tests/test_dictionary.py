@@ -45,7 +45,7 @@ def _mini_pair(n_target_words=3):
     tgt = LanguageModel("animales", {"x": 2, "s": 1})
 
     def obj(model, type_text, data):
-        return PSObject.of(make_tensor(model, parse_type(type_text), data))
+        return PSObject(make_tensor(model, parse_type(type_text), data))
 
     lex_a = Lexicon(
         src,
@@ -197,8 +197,8 @@ def overflow_pair():
     """Two x words, one of them huge enough that squared distances overflow."""
     model = LanguageModel("m", {"x": 2})
     lex = Lexicon(model, {
-        "big": (PSObject.of(make_tensor(model, parse_type("x"), [1e200, 1.0])),),
-        "a": (PSObject.of(make_tensor(model, parse_type("x"), [0.5, 2.0])),),
+        "big": (PSObject(make_tensor(model, parse_type("x"), [1e200, 1.0])),),
+        "a": (PSObject(make_tensor(model, parse_type("x"), [0.5, 2.0])),),
     })
     return lex, identity_translation(model)
 
@@ -216,7 +216,7 @@ def test_non_finite_distance_names_the_phrases():
     # single words stay finite; the two-word phrases' squares overflow
     model = LanguageModel("m", {"x": 2})
     lex = Lexicon(model, {
-        word: (PSObject.of(make_tensor(model, parse_type("x"), value)),)
+        word: (PSObject(make_tensor(model, parse_type("x"), value)),)
         for word, value in [("a", [1e100, 0.0]), ("z", [0.0, 0.0])]
     })
     query = DictionaryQuery(max_source_len=2, max_target_len=2)
@@ -346,7 +346,7 @@ _WORD_TYPES = ("x", "x x", "x^r s", "x x^l", "x^r s x^l", "s")
 
 def _random_senses(rng, model, types):
     return tuple(
-        PSObject.of(make_tensor(model, g, rng.standard_normal(space_shape(model, g))))
+        PSObject(make_tensor(model, g, rng.standard_normal(space_shape(model, g))))
         for g in map(parse_type, types)
     )
 
@@ -393,7 +393,7 @@ def ones_lexicon(lex):
     """``lex`` with all-ones tensors and every sense twice."""
     model = lex.model
     return Lexicon(model, {
-        w: tuple(PSObject.of(make_tensor(model, o.type, np.ones(space_shape(model, o.type))))
+        w: tuple(PSObject(make_tensor(model, o.type, np.ones(space_shape(model, o.type))))
                  for o in lex.senses(w) for _ in range(2))
         for w in lex.words
     })

@@ -317,7 +317,7 @@ def test_rows_with_many_distance_ties(seed):
 def test_rows_with_distances_in_exponent_form():
     model = LanguageModel("m", {"x": 1})
     lex = Lexicon(model, {
-        word: (PSObject.of(make_tensor(model, parse_type("x"), [value])),)
+        word: (PSObject(make_tensor(model, parse_type("x"), [value])),)
         for word, value in [("zero", 0.0), ("tiny", 1e-13), ("huge", 1e20)]
     })
     table = build_dictionary(lex, lex, identity_translation(model), DictionaryQuery())

@@ -33,7 +33,7 @@ def test_phrase_sense_length_checked():
 
 def test_entries_must_match_model_shapes():
     model = LanguageModel("m", {"n": 3})
-    bad = PSObject.of(make_tensor(LanguageModel("other", {"n": 2}), parse_type("n"), [1, 0]))
+    bad = PSObject(make_tensor(LanguageModel("other", {"n": 2}), parse_type("n"), [1, 0]))
     with pytest.raises(ValueError):
         Lexicon(model, {"w": (bad,)})
 
@@ -124,6 +124,13 @@ def test_wardrobe_leaves_the_demo_matrix_alone():
     assert demo.WEARS_MATRIX.flags.writeable
 
 
+def test_entries_are_read_only(wardrobe):
+    other = LanguageModel("other", {"n": 3})
+    with pytest.raises(TypeError):
+        wardrobe.entries["b"] = (PSObject(make_tensor(other, parse_type("n"), [1, 2, 3])),)
+    assert "b" not in wardrobe.words
+
+
 def test_sentence_meaning_holds_one_phrase_tensor():
     # noun, transitive verb, noun at d=32: the phrase tensor is 32**4
     # floats (8 MiB), built once by the outer product and not copied
@@ -133,7 +140,7 @@ def test_sentence_meaning_holds_one_phrase_tensor():
     def word(text):
         g = parse_type(text)
         data = rng.standard_normal(space_shape(model, g))
-        return (PSObject.of(make_tensor(model, g, data)),)
+        return (PSObject(make_tensor(model, g, data)),)
 
     lex = Lexicon(model, {"a": word("n"), "v": word("n^r s n^l"), "b": word("n")})
     phrase, s = Phrase(("a", "v", "b")), parse_type("s")
@@ -174,7 +181,7 @@ def test_meaning_invariant_under_regrouping(wardrobe):
 
 def _random_obj(rng, model, g):
     size = math.prod(space_shape(model, g))
-    return PSObject.of(make_tensor(model, g, rng.standard_normal(size)))
+    return PSObject(make_tensor(model, g, rng.standard_normal(size)))
 
 
 def _reducible_word_types(rng, target):

@@ -31,12 +31,12 @@ from oracles import random_reduction
 
 
 def _obj(model, type_text, data):
-    return PSObject.of(make_tensor(model, parse_type(type_text), data))
+    return PSObject(make_tensor(model, parse_type(type_text), data))
 
 
 def _random_obj(rng, model, g):
     size = int(np.prod(space_shape(model, g), dtype=int))
-    return PSObject.of(make_tensor(model, g, rng.standard_normal(size)))
+    return PSObject(make_tensor(model, g, rng.standard_normal(size)))
 
 
 def test_survivors_target_and_type_are_derived():
@@ -129,9 +129,9 @@ def test_compose_zero_distances_stay_zero(rng):
     g = parse_type("x x^r x")
     a = _random_obj(rng, model, g)
     r1 = Reduction.from_cups(g, [(0, 1)])
-    b = PSObject.of(apply_reduction(model, r1, a.meaning))
+    b = PSObject(apply_reduction(model, r1, a.meaning))
     r2 = Reduction.identity(r1.target)
-    c = PSObject.of(apply_reduction(model, r2, b.meaning))
+    c = PSObject(apply_reduction(model, r2, b.meaning))
     m1 = ps_morphism(model, a, r1, b)
     m2 = ps_morphism(model, b, r2, c)
     assert ps_compose(m2, m1, a, b, c).distance == pytest.approx(0.0, abs=1e-12)
@@ -175,7 +175,7 @@ def test_composite_distance_satisfies_triangle_bound(rng):
 def test_tensor_with_unit_object():
     model = LanguageModel("m", {"n": 2})
     a = _obj(model, "n", [1, 2])
-    unit = PSObject.of(unit_scalar(1.0))
+    unit = PSObject(unit_scalar(1.0))
     assert ps_tensor(a, unit).meaning == a.meaning
     assert ps_tensor(unit, a).meaning == a.meaning
 
@@ -252,9 +252,9 @@ def test_distance_zero_iff_exact_image(rng):
         g = random_word(rng, max_len=4)
         a = _random_obj(rng, model, g)
         r = random_reduction(rng, g)
-        exact = PSObject.of(apply_reduction(model, r, a.meaning))
+        exact = PSObject(apply_reduction(model, r, a.meaning))
         assert ps_morphism(model, a, r, exact).distance <= 1e-12
-        bumped = PSObject.of(
+        bumped = PSObject(
             make_tensor(model, r.target, exact.meaning.array + 0.5)
         )
         if exact.meaning.array.size:

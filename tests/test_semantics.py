@@ -21,6 +21,7 @@ from discotrans.semantics import (
     LanguageModel,
     Tensor,
     _contract,
+    _join,
     apply_reduction,
     make_tensor,
     normalize_sentence,
@@ -67,6 +68,13 @@ def test_model_keeps_its_own_dimensions():
     dims["n"] = 0
     dims["s"] = 1
     assert model.dims == {"n": 3}
+
+
+def test_model_dimensions_are_read_only():
+    model = LanguageModel("m", {"n": 2})
+    with pytest.raises(TypeError):
+        model.dims["n"] = 0
+    assert model.dim("n") == 2
 
 
 def test_space_shape_of_verb_type():
@@ -138,8 +146,8 @@ def test_library_results_are_read_only():
         apply_reduction(model, Reduction.identity(uv.type), uv),
         normalize_sentence(model, apply_reduction(model, r, uv)),
         unit_scalar(5.0),
-        translate_object(identity_translation(model), PSObject.of(uv)).meaning,
-        translate_object(identity_translation(model), PSObject.of(unit_scalar(2.0))).meaning,
+        translate_object(identity_translation(model), PSObject(uv)).meaning,
+        translate_object(identity_translation(model), PSObject(unit_scalar(2.0))).meaning,
     ]
     for t in results:
         assert not t.array.flags.writeable
@@ -188,6 +196,31 @@ def test_tensor_product_is_the_outer_product_of_any_ranks(rng):
             assert out.array.flags.c_contiguous
             assert out.array.tobytes() == np.ascontiguousarray(expected).tobytes()
             assert out.shape == np.shape(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_join_writes_the_batch_leading_outer_product(data):
+    # operands of rank 0-3 with dimensions 1-3, and every batch count either
+    # may lead with, up to two
+    def operand(draw):
+        shape = draw(st.lists(st.integers(1, 3), max_size=3))
+        return np.arange(1, 1 + int(np.prod(shape)), dtype=float).reshape(shape) * draw(
+            st.floats(-4, 4, allow_nan=False)
+        )
+
+    out, a = operand(data.draw), operand(data.draw)
+    batch = data.draw(st.integers(0, min(2, out.ndim)))
+    extra = data.draw(st.integers(0, min(2, a.ndim)))
+    got = _join(out, a, batch, extra)
+    # np.array keeps a 0-d product 0-d, where np.ascontiguousarray would not
+    expected = np.array(np.moveaxis(
+        np.multiply.outer(out, a),
+        range(out.ndim, out.ndim + extra), range(batch, batch + extra),
+    ), order="C")
+    assert got.flags.c_contiguous
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
 
 
 def _shape_size(model, g):

@@ -48,7 +48,7 @@ from oracles import (
 
 def _random_obj(rng, model, g):
     size = int(np.prod(space_shape(model, g), dtype=int))
-    return PSObject.of(make_tensor(model, g, rng.standard_normal(size)))
+    return PSObject(make_tensor(model, g, rng.standard_normal(size)))
 
 
 def _random_translation(rng, source_model, target_model):
@@ -94,6 +94,20 @@ def test_extra_keys_are_dropped(blind_model):
             j_apply(t, g)
         with pytest.raises(UnknownBasicTypeError):
             alpha_component(t, g, np.ones(1))
+
+
+def test_alpha_is_read_only():
+    t = identity_translation(LanguageModel("m", {"n": 2}))
+    with pytest.raises(TypeError):
+        t.alpha["n"] = np.zeros((5, 5))
+    assert check_naturality(t, Reduction.identity(parse_type("n"))).passed
+
+
+def test_grammar_map_is_read_only():
+    t = identity_translation(LanguageModel("m", {"n": 2, "s": 1}))
+    with pytest.raises(TypeError):
+        t.j["n"] = parse_type("s s")
+    assert j_apply(t, parse_type("n")) == parse_type("n")
 
 
 def test_a_model_name_names_one_model(blind_model):
@@ -256,7 +270,7 @@ def test_translate_lexicon_model_mismatch(collapse, blind_model):
 
     lex = Lexicon(
         blind_model,
-        {"w": (PSObject.of(make_tensor(blind_model, parse_type("n"), [1, 2, 3])),)},
+        {"w": (PSObject(make_tensor(blind_model, parse_type("n"), [1, 2, 3])),)},
     )
     with pytest.raises(ModelMismatchError):
         translate_lexicon(collapse, lex)
@@ -308,7 +322,7 @@ def test_lexicon_model_mismatch_has_one_wording(caller, collapse, wardrobe):
 def test_a_lexicon_model_of_the_source_name_must_be_the_source(caller, collapse, wardrobe):
     # the lexicon's model has the translation source's name, other dimensions
     impostor = LanguageModel(collapse.source_model.name, {"n_s": 2, "n_p": 2, "n": 2, "s": 1})
-    lex = Lexicon(impostor, {"w": (PSObject.of(make_tensor(impostor, parse_type("n_s"), [1, 0])),)})
+    lex = Lexicon(impostor, {"w": (PSObject(make_tensor(impostor, parse_type("n_s"), [1, 0])),)})
     with pytest.raises(ModelMismatchError) as caught:
         if caller == "translate_lexicon":
             translate_lexicon(collapse, lex)
@@ -419,7 +433,7 @@ def test_zero_distance_sentence_survives_translation(collapse, wardrobe):
 
     phrase = lex_phrase(wardrobe, Phrase(("Rosie", "wears", "boots"), (0, 1, 0)))
     r = Reduction.from_cups(phrase.type, [(0, 1), (3, 4)])
-    target = PSObject.of(apply_reduction(wardrobe.model, r, phrase.meaning))
+    target = PSObject(apply_reduction(wardrobe.model, r, phrase.meaning))
     m = ps_morphism(wardrobe.model, phrase, r, target)
     assert m.distance == 0.0
     out = translate_morphism(collapse, m, phrase, target)
