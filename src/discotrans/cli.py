@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -49,6 +50,15 @@ def _load(load, args, option: str):
     except OSError as exc:
         reason = exc.strerror if exc.filename == path else exc
         raise OSError(f"--{option} {path!r}: {reason}") from None
+
+
+@contextmanager
+def _option(option: str, value):
+    """Report a ``ValueError`` raised inside with the option and the value given."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{option} {value}: {exc}") from None
 
 
 def _phrase(args) -> Phrase:
@@ -109,7 +119,8 @@ def cmd_check(args) -> int:
     found = reduce_search(source, target, max_results=1)
     if not found:
         raise NoReductionError(f"no reduction from '{source}' to '{target}' to check")
-    report = check_naturality(t, found[0], args.tolerance)
+    with _option("--tolerance", args.tolerance):
+        report = check_naturality(t, found[0], args.tolerance)
     _print_doc(
         {
             "format": io.FORMAT_VERSION,
@@ -143,12 +154,18 @@ def cmd_dict(args) -> int:
         type_filter = parse_type(args.target_type, lex_b.model.basics)
     elif args.reduced_only:
         type_filter = parse_type("s", lex_b.model.basics)
+    options = {
+        "max_source_len": ("--max-source-len", args.max_source_len),
+        "max_target_len": ("--max-target-len", args.max_target_len),
+        "threshold": ("--k", args.k),
+        "max_pairs": ("--max-pairs", args.max_pairs),
+    }
+    for name, (option, value) in options.items():
+        # each value alone, so the query's own rule is reported with its option
+        with _option(option, value):
+            DictionaryQuery(**{name: value})
     query = DictionaryQuery(
-        max_source_len=args.max_source_len,
-        max_target_len=args.max_target_len,
-        target_type_filter=type_filter,
-        threshold=args.k,
-        max_pairs=args.max_pairs,
+        target_type_filter=type_filter, **{name: value for name, (_, value) in options.items()}
     )
     table = build_dictionary(lex_a, lex_b, t, query)
     if args.json:

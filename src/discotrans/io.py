@@ -27,17 +27,17 @@ from .translation import Translation, _pair_rows
 FORMAT_VERSION = 1
 
 
-def format_number(x: float, digits: int = 12) -> str:
-    return f"{float(x):.{digits}g}"
+def format_number(x: float) -> str:
+    return f"{float(x):.12g}"
 
 
-def round_sig(x: float, digits: int = 12) -> float:
-    """``x`` to ``digits`` significant digits, as every document writer prints it.
+def round_sig(x: float) -> float:
+    """``x`` to 12 significant digits, as every document writer prints it.
 
     Raises ``NonFiniteError`` on infinity or NaN, which strict JSON
     readers reject.
     """
-    value = float(format_number(x, digits))
+    value = float(format_number(x))
     if not math.isfinite(value):
         raise NonFiniteError(
             f"a result is {value}, which no document may hold: the arithmetic overflows float64"
@@ -141,10 +141,14 @@ def lexicon_from_doc(doc, base_dir: Path = Path(".")) -> Lexicon:
     model = _resolve_model(_require(doc, "model", "lexicon"), base_dir, "lexicon")
     records = _require(doc, "words", "lexicon", list)
     entries: dict[str, list[PSObject]] = {}
+    types: dict[str, PregroupType] = {}  # each distinct type string parsed once
     for record in records:
         word = str(_require(record, "word", "lexicon record"))
-        type_string = _require(record, "type", "lexicon record")
-        g = _type_of(type_string, f"lexicon record {word!r} 'type'", model.basics)
+        type_string = str(_require(record, "type", "lexicon record"))
+        g = types.get(type_string)
+        if g is None:
+            g = _type_of(type_string, f"lexicon record {word!r} 'type'", model.basics)
+            types[type_string] = g
         data = _require(record, "data", "lexicon record", list)
         tensor = _tensor_of(model, g, data, f"lexicon record {word!r}")
         entries.setdefault(word, []).append(PSObject(tensor))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -42,12 +42,20 @@ class Translation:
     source model's basic types; keys for any other type are dropped, and
     neither map can be written to.  A source and a target model of one
     name must be one model.
+
+    Each (basic type, adjoint parity) matrix and each word type's image
+    are prepared on first use and kept with the translation; they take
+    no part in equality or ``repr``.
     """
 
     source_model: LanguageModel
     target_model: LanguageModel
     j: Mapping[str, PregroupType]
     alpha: Mapping[str, np.ndarray]
+    # (base, z % 2) -> (right-hand matrix, image axes), see _factor
+    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # word type -> its image, see _word_image
+    _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _same_model(self.source_model, self.target_model)
@@ -113,6 +121,26 @@ def _alpha_block(t: Translation, s: SimpleType) -> np.ndarray:
     return block
 
 
+def _factor(t: Translation, s: SimpleType) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The right-hand matrix of ``np.tensordot(array, _alpha_block(t, s),
+    axes=([0], [-1]))`` and the image axes it leaves, made once per
+    (base, parity) of a translation and read-only.
+
+    The matrix is built as ``tensordot`` builds it, so a product with it
+    has ``tensordot``'s operands, shapes and memory layout, and its bits.
+    """
+    key = (s.base, s.z % 2)
+    factor = t._factors.get(key)
+    if factor is None:
+        block = _alpha_block(t, s)
+        image = block.shape[:-1]
+        matrix = block.transpose(block.ndim - 1, *range(block.ndim - 1))
+        matrix = matrix.reshape(block.shape[-1], math.prod(image))
+        matrix.flags.writeable = False
+        factor = t._factors[key] = (matrix, image)
+    return factor
+
+
 def alpha_component(t: Translation, g: PregroupType, array) -> np.ndarray:
     """Apply the component of alpha at type ``g`` to ``array``.
 
@@ -120,8 +148,10 @@ def alpha_component(t: Translation, g: PregroupType, array) -> np.ndarray:
     type); any further trailing axes pass through unchanged.  The result
     carries ``j_apply(t, g)`` on its leading axes, followed by the same
     trailing axes.  The component is the tensor product of the
-    per-simple matrices, applied one axis at a time: one ``tensordot``
-    per simple type, so no phrase-sized matrix is ever built.
+    per-simple matrices, applied one axis at a time: one ``np.dot`` per
+    simple type with its prepared matrix, the operand reshaped as
+    ``np.tensordot`` reshapes it, so no phrase-sized matrix is ever
+    built.
     """
     array = np.asarray(array, dtype=float)
     n = len(g.simples)
@@ -132,18 +162,29 @@ def alpha_component(t: Translation, g: PregroupType, array) -> np.ndarray:
     extra = array.ndim - n
     image_rank = 0
     for s in g.simples:
-        block = _alpha_block(t, s)
-        array = np.tensordot(array, block, axes=([0], [block.ndim - 1]))
-        image_rank += block.ndim - 1
+        matrix, image = _factor(t, s)
+        rest = array.shape[1:]
+        operand = array.transpose(*range(1, array.ndim), 0)
+        operand = operand.reshape(math.prod(rest), array.shape[0])
+        array = np.dot(operand, matrix).reshape((*rest, *image))
+        image_rank += len(image)
     # the g axes were consumed from the front and the image axes appended,
     # so the pass-through axes now lead; move them back behind the image
     return array.transpose(*range(extra, extra + image_rank), *range(extra))
 
 
+def _word_image(t: Translation, g: PregroupType) -> PregroupType:
+    """``j_apply(t, g)``, made once per word type of a translation."""
+    image = t._images.get(g)
+    if image is None:
+        image = t._images[g] = j_apply(t, g)
+    return image
+
+
 def translate_object(t: Translation, o: PSObject) -> PSObject:
     """Image of an object: its meaning pushed through alpha axis by axis."""
     image = alpha_component(t, o.type, o.meaning.array)
-    return PSObject(Tensor._adopt(j_apply(t, o.type), image))
+    return PSObject(Tensor._adopt(_word_image(t, o.type), image))
 
 
 def translate_reduction(t: Translation, r: Reduction) -> Reduction:

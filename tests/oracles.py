@@ -20,6 +20,7 @@ from discotrans.semantics import LanguageModel, _contract, apply_reduction, spac
 from discotrans.translation import (
     NaturalityReport,
     Translation,
+    _alpha_block,
     translate_object,
     translate_reduction,
 )
@@ -127,6 +128,20 @@ def alpha_matrix_by_kron(t: Translation, g: PregroupType) -> np.ndarray:
                 component = component[perm.transpose().ravel()]
         matrix = np.kron(matrix, component)
     return matrix
+
+
+def alpha_component_by_tensordot(t: Translation, g: PregroupType, array) -> np.ndarray:
+    """The component of alpha at ``g`` applied to ``array`` by one
+    ``np.tensordot`` per simple type over its ``_alpha_block``, with no
+    prepared matrix; trailing axes of ``array`` pass through."""
+    array = np.asarray(array, dtype=float)
+    extra = array.ndim - len(g)
+    image_rank = 0
+    for s in g.simples:
+        block = _alpha_block(t, s)
+        array = np.tensordot(array, block, axes=([0], [block.ndim - 1]))
+        image_rank += block.ndim - 1
+    return array.transpose(*range(extra, extra + image_rank), *range(extra))
 
 
 def naturality_by_basis_probe(

@@ -664,7 +664,29 @@ def test_dict_negative_max_pairs_is_input_error(files, capsys):
         "--translation", str(files / "collapse.json"),
         "--max-pairs", "-5",
     )
-    assert (code, out, err) == (2, "", "error: max_pairs must be at least 0, got -5\n")
+    assert (code, out, err) == (2, "", "error: --max-pairs -5: max_pairs must be at least 0, got -5\n")
+
+
+@pytest.mark.parametrize(
+    "option, value, shown, rule",
+    [
+        ("--max-pairs", "-1", "-1", "max_pairs must be at least 0, got -1"),
+        ("--max-source-len", "0", "0", "phrase length caps must be at least 1"),
+        ("--max-target-len", "0", "0", "phrase length caps must be at least 1"),
+        ("--k", "nan", "nan", "threshold must be non-negative"),
+        ("--tolerance", "-1", "-1.0", "tolerance must be a finite non-negative number, got -1.0"),
+    ],
+)
+def test_an_argument_error_names_its_option_and_value(files, capsys, option, value, shown, rule):
+    if option == "--tolerance":
+        argv = ["check", "--translation", str(files / "collapse.json"),
+                "--from", "n_s n_s^r s", "--to", "s"]
+    else:
+        argv = ["dict", "--lex-a", str(files / "aware.lex.json"),
+                "--lex-b", str(files / "blind.lex.json"),
+                "--translation", str(files / "collapse.json")]
+    code, out, err = run(capsys, *argv, option, value)
+    assert (code, out, err) == (2, "", f"error: {option} {shown}: {rule}\n")
 
 
 def test_dict_output_is_deterministic(files, capsys):

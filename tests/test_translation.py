@@ -1,3 +1,4 @@
+import dataclasses
 import time
 import tracemalloc
 
@@ -22,6 +23,7 @@ from discotrans.product_space import PSObject, ps_morphism, ps_tensor
 from discotrans.semantics import LanguageModel, apply_reduction, make_tensor, space_shape
 from discotrans.translation import (
     Translation,
+    _alpha_block,
     alpha_component,
     check_naturality,
     compose_translations,
@@ -38,6 +40,7 @@ from discotrans.translation import (
 from conftest import random_word
 from oracles import (
     all_reductions,
+    alpha_component_by_tensordot,
     alpha_matrix_by_kron,
     image_lexicon,
     naturality_by_basis_probe,
@@ -186,11 +189,11 @@ def test_alpha_on_verb_type_is_kron(collapse):
     assert np.array_equal(_alpha_matrix(collapse, verb), expected)
 
 
-def _two_simple_translation(rng):
+def _two_simple_translation(rng, n=3, y=2, b=4, s=2, c=2, p=2, q=3):
     """Source n, y, b, s; n maps to the two-simple word n c, b to the
     reversing word p q, y is erased and s kept."""
-    source = LanguageModel("src", {"n": 3, "y": 2, "b": 4, "s": 2})
-    target = LanguageModel("tgt", {"n": 3, "c": 2, "p": 2, "q": 3, "s": 2})
+    source = LanguageModel("src", {"n": n, "y": y, "b": b, "s": s})
+    target = LanguageModel("tgt", {"n": n, "c": c, "p": p, "q": q, "s": s})
     return Translation(
         source,
         target,
@@ -201,10 +204,10 @@ def _two_simple_translation(rng):
             "s": parse_type("s"),
         },
         {
-            "n": rng.standard_normal((6, 3)),
-            "y": rng.standard_normal((1, 2)),
-            "b": rng.standard_normal((6, 4)),
-            "s": rng.standard_normal((2, 2)),
+            "n": rng.standard_normal((n * c, n)),
+            "y": rng.standard_normal((1, y)),
+            "b": rng.standard_normal((p * q, b)),
+            "s": rng.standard_normal((s, s)),
         },
     )
 
@@ -234,6 +237,114 @@ def test_per_axis_alpha_matches_kronecker_matrix(seed, word, trailing):
     flat = array.reshape(int(np.prod(shape, dtype=int)), -1)
     expected = (alpha_matrix_by_kron(t, g) @ flat).reshape(got.shape)
     assert np.max(np.abs(got - expected), initial=0.0) <= 1e-12
+
+
+def _bits(array: np.ndarray) -> tuple:
+    return array.shape, array.dtype, array.tobytes()
+
+
+_DIMS = st.fixed_dictionaries({base: st.integers(1, 5) for base in "nybscpq"})
+_WORD = st.lists(
+    st.tuples(st.sampled_from("nybs"), st.sampled_from([-2, -1, 0, 1, 2])), max_size=4
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dims=_DIMS, word=_WORD,
+       trailing=st.lists(st.integers(1, 3), max_size=2))
+# verify's two-simple image n -> n c at both parities, with a pass-through axis
+@example(seed=0, dims=dict(n=4, y=1, b=1, s=1, c=2, p=1, q=1), word=[("n", 0), ("n", 1)],
+         trailing=[3])
+@example(seed=1, dims=dict(n=5, y=5, b=5, s=5, c=5, p=5, q=5),
+         word=[("b", -1), ("n", 2), ("s", 0), ("y", 1)], trailing=[])
+def test_alpha_component_is_the_tensordot_chain_bit_for_bit(seed, dims, word, trailing):
+    rng = np.random.default_rng(seed)
+    t = _two_simple_translation(rng, **dims)
+    g = PregroupType(tuple(SimpleType(b, z) for b, z in word))
+    array = rng.standard_normal((*space_shape(t.source_model, g), *trailing))
+    expected = alpha_component_by_tensordot(t, g, array)
+    # the first call prepares the matrices, the second reads them back
+    for _ in range(2):
+        assert _bits(alpha_component(t, g, array)) == _bits(expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       dims=st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=3, max_size=3))
+def test_composite_alpha_is_the_tensordot_chain_bit_for_bit(seed, dims):
+    rng = np.random.default_rng(seed)
+    models = [LanguageModel(f"m{i}", {"x": x, "y": y}) for i, (x, y) in enumerate(dims)]
+    t1 = _random_translation(rng, models[0], models[1])
+    t2 = _random_translation(rng, models[1], models[2])
+    composite = compose_translations(t2, t1)
+    for base, matrix in t1.alpha.items():
+        block = _alpha_block(t1, SimpleType(base))
+        expected = alpha_component_by_tensordot(t2, t1.j[base], block)
+        assert _bits(composite.alpha[base]) == _bits(expected.reshape(-1, matrix.shape[1]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dims=_DIMS,
+       senses=st.lists(st.lists(_WORD, min_size=1, max_size=3), min_size=1, max_size=4))
+def test_translate_object_is_the_lexicon_entry_bit_for_bit(seed, dims, senses):
+    rng = np.random.default_rng(seed)
+    t = _two_simple_translation(rng, **dims)
+    lex = Lexicon(t.source_model, {
+        f"w{i}": tuple(
+            _random_obj(rng, t.source_model, PregroupType(tuple(SimpleType(b, z) for b, z in w)))
+            for w in words
+        )
+        for i, words in enumerate(senses)
+    })
+    image = translate_lexicon(t, lex)
+    fresh = Translation(t.source_model, t.target_model, t.j, t.alpha)
+    for word in lex.words:
+        # random senses have distinct images, so none is merged
+        assert len(image.entries[word]) == len(lex.senses(word))
+        for obj, entry in zip(lex.senses(word), image.entries[word]):
+            for translation in (t, fresh):
+                got = translate_object(translation, obj)
+                assert got.type == entry.type
+                assert _bits(got.meaning.array) == _bits(entry.meaning.array)
+
+
+def test_using_a_translation_changes_neither_its_equality_nor_its_repr():
+    # one-dimensional spaces, so that == can compare the 1 x 1 matrices
+    source = LanguageModel("src", {"n": 1, "s": 1})
+    target = LanguageModel("tgt", {"n": 1, "c": 1, "s": 1})
+
+    def make():
+        j = {"n": parse_type("n c"), "s": parse_type("s")}
+        return Translation(source, target, j, {"n": [[2.0]], "s": [[-1.0]]})
+
+    used, twin = make(), make()
+    before = repr(used)
+    verb = PSObject(make_tensor(source, parse_type("n^r s n^l"), [3.0]))
+    translate_lexicon(used, Lexicon(source, {"sees": (verb,)}))
+    assert used._factors and used._images
+    assert used == twin and not twin._factors
+    assert repr(used) == before == repr(twin)
+
+
+def test_a_replaced_translation_prepares_its_own_matrices(collapse, wardrobe):
+    translate_lexicon(collapse, wardrobe)
+    doubled = dataclasses.replace(collapse, alpha={b: 2 * m for b, m in collapse.alpha.items()})
+    for word in wardrobe.words:
+        for obj in wardrobe.senses(word):
+            for t in (collapse, doubled):
+                expected = alpha_component_by_tensordot(t, obj.type, obj.meaning.array)
+                assert _bits(translate_object(t, obj).meaning.array) == _bits(expected)
+
+
+def test_prepared_matrices_are_read_only(rng):
+    t = _two_simple_translation(rng)
+    # both parities of each base; b^l's matrix is a reordered copy of alpha's rows
+    g = parse_type("n n^r b b^l y y^r s s^l")
+    alpha_component(t, g, rng.standard_normal(space_shape(t.source_model, g)))
+    assert set(t._factors) == {(b, z) for b in "nybs" for z in (0, 1)}
+    for matrix, _ in t._factors.values():
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 0.0
 
 
 # -- objects and lexicons --------------------------------------------------------------
