@@ -27,9 +27,9 @@ from . import io
 from .dictionary import DictionaryQuery, build_dictionary
 from .errors import DiscotransError, NonFiniteError, NoReductionError, RankDeficientError
 from .grammar import parse_type, reduce_search
-from .lexicon import Lexicon, Phrase, phrase_meaning
+from .lexicon import Phrase, phrase_meaning
 from .semantics import normalize_sentence
-from .translation import Translation, _image_lexicon, check_naturality, fit_alpha, nearest_unitary
+from .translation import _image_lexicon, check_naturality, fit_alpha, nearest_unitary
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -77,10 +77,8 @@ def cmd_parse(args) -> int:
         basics = _load(io.load_model, args, "model").basics
     source = parse_type(args.source_type, basics)
     target = parse_type(args.target_type, basics)
-    try:
+    with _option("--max", args.max):
         found = reduce_search(source, target, args.max)
-    except ValueError as exc:
-        raise ValueError(f"--max: {exc}") from None
     if not found:
         print("no reduction")
         return EXIT_NEGATIVE
@@ -90,26 +88,18 @@ def cmd_parse(args) -> int:
     return EXIT_OK
 
 
-def _meaning_of(lex: Lexicon, args, t: Translation | None = None) -> int:
-    if t is not None:
-        # unmerged, so --senses indexes the source lexicon's senses
-        lex = _image_lexicon(t, lex, lex.words)
+def cmd_meaning(args) -> int:
+    lex = _load(io.load_lexicon, args, "lex")
+    if args.translation is not None:
+        t = _load(io.load_translation, args, "translation")
+        # the phrase's words only, unmerged, so --senses indexes the source senses
+        lex = _image_lexicon(t, lex, dict.fromkeys(args.phrase.split()))
     target = parse_type(args.target_type, lex.model.basics)
     tensor = phrase_meaning(lex, _phrase(args), target)
     if args.normalize:
         tensor = normalize_sentence(lex.model, tensor)
     _print_doc(io.tensor_to_doc(tensor))
     return EXIT_OK
-
-
-def cmd_meaning(args) -> int:
-    return _meaning_of(_load(io.load_lexicon, args, "lex"), args)
-
-
-def cmd_translate(args) -> int:
-    lex = _load(io.load_lexicon, args, "lex")
-    t = _load(io.load_translation, args, "translation")
-    return _meaning_of(lex, args, t)
 
 
 def cmd_check(args) -> int:
@@ -152,8 +142,6 @@ def cmd_dict(args) -> int:
     type_filter = None
     if args.target_type is not None:
         type_filter = parse_type(args.target_type, lex_b.model.basics)
-    elif args.reduced_only:
-        type_filter = parse_type("s", lex_b.model.basics)
     options = {
         "max_source_len": ("--max-source-len", args.max_source_len),
         "max_target_len": ("--max-target-len", args.max_target_len),
@@ -196,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--senses", help="comma-separated per-word sense indices")
     p.add_argument("--normalize", action="store_true",
                    help="collapse a nonzero sentence value to 1")
-    p.set_defaults(func=cmd_meaning)
+    p.set_defaults(func=cmd_meaning, translation=None)
 
     p = sub.add_parser("translate", help="translate a phrase, then compute its meaning")
     p.add_argument("--translation", required=True, help="translation file")
@@ -207,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--senses",
                    help="comma-separated per-word sense indices into the source lexicon")
     p.add_argument("--normalize", action="store_true")
-    p.set_defaults(func=cmd_translate)
+    p.set_defaults(func=cmd_meaning)
 
     p = sub.add_parser("check", help="verify a translation commutes with a reduction")
     p.add_argument("--translation", required=True)
@@ -235,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-target-len", type=int, default=DictionaryQuery.max_target_len)
     p.add_argument("--to", dest="target_type", default=None, metavar="TYPE",
                    help="reduce both sides onto this type first")
-    p.add_argument("--reduced-only", action="store_true",
+    p.add_argument("--reduced-only", action="store_const", dest="target_type", const="s",
                    help="shorthand for --to s")
     p.add_argument("--max-pairs", type=int, default=DictionaryQuery.max_pairs)
     p.add_argument("--json", action="store_true",

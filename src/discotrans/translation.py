@@ -33,7 +33,7 @@ from .product_space import PSMorphism, PSObject, _arrow, _check_endpoints
 from .semantics import LanguageModel, Tensor, space_shape
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Translation:
     """A grammar map plus per-basic-type meaning matrices.
 
@@ -43,9 +43,10 @@ class Translation:
     neither map can be written to.  A source and a target model of one
     name must be one model.
 
-    Each (basic type, adjoint parity) matrix and each word type's image
-    are prepared on first use and kept with the translation; they take
-    no part in equality or ``repr``.
+    Two translations are equal when their models, grammar maps and
+    matrices are.  Each (basic type, adjoint parity) matrix and each word
+    type's image are prepared on first use and kept with the translation;
+    they take no part in equality or ``repr``.
     """
 
     source_model: LanguageModel
@@ -53,9 +54,9 @@ class Translation:
     j: Mapping[str, PregroupType]
     alpha: Mapping[str, np.ndarray]
     # (base, z % 2) -> (right-hand matrix, image axes), see _factor
-    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _factors: dict = field(default_factory=dict, init=False, repr=False)
     # word type -> its image, see _word_image
-    _images: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _images: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         _same_model(self.source_model, self.target_model)
@@ -80,6 +81,19 @@ class Translation:
             frozen_alpha[base] = matrix
         object.__setattr__(self, "j", MappingProxyType(frozen_j))
         object.__setattr__(self, "alpha", MappingProxyType(frozen_alpha))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Translation):
+            return NotImplemented
+        # equal source models give both the same alpha keys
+        return (
+            self.source_model == other.source_model
+            and self.target_model == other.target_model
+            and self.j == other.j
+            and all(np.array_equal(m, other.alpha[b]) for b, m in self.alpha.items())
+        )
+
+    __hash__ = None
 
 
 def _same_model(a: LanguageModel, b: LanguageModel) -> None:

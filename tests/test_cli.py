@@ -90,7 +90,9 @@ def test_parse_of_a_long_type(capsys, pairs, expected):
 def test_parse_max_below_one_names_the_option(capsys, value):
     code, out, err = run(capsys, "parse", "--from", "n n^r s", "--to", "s", "--max", value)
     assert (code, out) == (2, "")
-    assert err == f"error: --max: the number of reductions to list must be at least 1, got {value}\n"
+    assert err == (
+        f"error: --max {value}: the number of reductions to list must be at least 1, got {value}\n"
+    )
 
 
 def test_parse_outcome_does_not_depend_on_earlier_searches():
@@ -246,6 +248,64 @@ def test_translate_senses_index_the_source_lexicon(files, capsys, senses):
     images = image_lexicon(collapse_number_translation(), wardrobe_lexicon())
     phrase = Phrase(("Rosie", "wears", "boots"), senses)
     assert json.loads(out) == io.tensor_to_doc(phrase_meaning(images, phrase, parse_type("s")))
+
+
+def _random_lexicon_files(tmp_path):
+    """Nouns w0..w4 and a two-sense verb, with random meanings, and a random
+    translation into a model of other dimensions."""
+    rng = np.random.default_rng(23)
+    source = LanguageModel("src", {"n": 3, "s": 2})
+    target = LanguageModel("tgt", {"n": 2, "s": 2})
+
+    def sense(model, g):
+        shape = [model.dim(s.base) for s in g.simples]
+        return PSObject(make_tensor(model, g, rng.standard_normal(shape).ravel()))
+
+    n, verb = parse_type("n"), parse_type("n^r s n^l")
+    entries = {f"w{i}": (sense(source, n),) for i in range(5)}
+    entries["likes"] = (sense(source, verb), sense(source, verb))
+    j = {"n": n, "s": parse_type("s")}
+    alpha = {"n": rng.standard_normal((2, 3)), "s": rng.standard_normal((2, 2))}
+    io.save_doc(io.lexicon_to_doc(Lexicon(source, entries)), tmp_path / "random.lex.json")
+    io.save_doc(io.translation_to_doc(Translation(source, target, j, alpha)), tmp_path / "t.json")
+    return tmp_path / "random.lex.json", tmp_path / "t.json"
+
+
+@pytest.mark.parametrize("phrase, senses", [
+    ("w0 likes w1", None), ("w1 likes w1", None), ("w2 likes w0", "0,1,0"),
+])
+def test_translate_images_only_the_phrase_words(tmp_path, capsys, monkeypatch, phrase, senses):
+    lex_path, t_path = _random_lexicon_files(tmp_path)
+    calls = []
+    image = discotrans.translation.translate_object
+    monkeypatch.setattr(
+        "discotrans.translation.translate_object", lambda t, o: calls.append(o) or image(t, o)
+    )
+    pin = [] if senses is None else ["--senses", senses]
+    code, out, err = run(
+        capsys, "translate", "--translation", str(t_path), "--lex", str(lex_path),
+        "--phrase", phrase, "--to", "s", *pin,
+    )
+    assert (code, err) == (0, "")
+    # one call per sense of each distinct phrase word: likes has two, each noun one
+    assert len(calls) == len(set(phrase.split())) + 1
+    # the bytes of the meaning over the whole lexicon's image
+    lex, t = io.load_lexicon(lex_path), io.load_translation(t_path)
+    pinned = None if senses is None else tuple(map(int, senses.split(",")))
+    expected = phrase_meaning(
+        image_lexicon(t, lex), Phrase(tuple(phrase.split()), pinned), parse_type("s")
+    )
+    assert out == json.dumps(io.tensor_to_doc(expected), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("command", ["meaning", "translate"])
+def test_a_phrase_word_missing_from_the_lexicon_is_input_error(files, capsys, command):
+    extra = ["--translation", str(files / "collapse.json")] if command == "translate" else []
+    code, out, err = run(
+        capsys, command, "--lex", str(files / "aware.lex.json"), *extra,
+        "--phrase", "Rosie wears socks", "--to", "s",
+    )
+    assert (code, out, err) == (2, "", "error: word 'socks' is not in the lexicon\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -574,6 +634,20 @@ def test_dict_reduced_only_sentences(files, capsys):
     )
     assert code == 0
     assert "Rosie wears boots\tRosie wears a_boot" in out
+
+
+def test_dict_reduced_only_and_to_the_later_one_wins(files, capsys):
+    argv = [
+        "dict", "--lex-a", str(files / "aware.lex.json"),
+        "--lex-b", str(files / "blind.lex.json"),
+        "--translation", str(files / "collapse.json"),
+        "--max-source-len", "3", "--max-target-len", "3", "--k", "0",
+    ]
+    onto_s = run(capsys, *argv, "--to", "s")
+    onto_nn = run(capsys, *argv, "--to", "n n")
+    assert onto_s != onto_nn
+    assert run(capsys, *argv, "--to", "n n", "--reduced-only") == onto_s
+    assert run(capsys, *argv, "--reduced-only", "--to", "n n") == onto_nn
 
 
 def test_dict_empty_result_is_negative(files, tmp_path, capsys):

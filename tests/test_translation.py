@@ -308,18 +308,32 @@ def test_translate_object_is_the_lexicon_entry_bit_for_bit(seed, dims, senses):
                 assert _bits(got.meaning.array) == _bits(entry.meaning.array)
 
 
+def _small_translation(n_entry=2.0):
+    """n (dimension 2) to n c (4), s (2) to s (2): alpha[n][0, 0] is ``n_entry``."""
+    source = LanguageModel("src", {"n": 2, "s": 2})
+    target = LanguageModel("tgt", {"n": 2, "c": 2, "s": 2})
+    j = {"n": parse_type("n c"), "s": parse_type("s")}
+    n = np.arange(8.0).reshape(4, 2)
+    n[0, 0] = n_entry
+    return Translation(source, target, j, {"n": n, "s": [[0.0, -1.0], [1.0, 0.0]]})
+
+
+def test_translations_compare_by_value():
+    t = _small_translation()
+    assert t == _small_translation() and not t != _small_translation()
+    assert t != _small_translation(n_entry=3.0)
+    assert t != dataclasses.replace(t, j={"n": parse_type("c n"), "s": parse_type("s")})
+    assert t != identity_translation(t.source_model)
+    assert t != t.alpha
+    with pytest.raises(TypeError):
+        hash(t)
+
+
 def test_using_a_translation_changes_neither_its_equality_nor_its_repr():
-    # one-dimensional spaces, so that == can compare the 1 x 1 matrices
-    source = LanguageModel("src", {"n": 1, "s": 1})
-    target = LanguageModel("tgt", {"n": 1, "c": 1, "s": 1})
-
-    def make():
-        j = {"n": parse_type("n c"), "s": parse_type("s")}
-        return Translation(source, target, j, {"n": [[2.0]], "s": [[-1.0]]})
-
-    used, twin = make(), make()
+    used, twin = _small_translation(), _small_translation()
+    source = used.source_model
     before = repr(used)
-    verb = PSObject(make_tensor(source, parse_type("n^r s n^l"), [3.0]))
+    verb = PSObject(make_tensor(source, parse_type("n^r s n^l"), np.arange(8.0)))
     translate_lexicon(used, Lexicon(source, {"sees": (verb,)}))
     assert used._factors and used._images
     assert used == twin and not twin._factors
