@@ -21,7 +21,7 @@ from .errors import DiscotransError, FormatError, NonFiniteError
 from .grammar import PregroupType, Reduction, parse_type
 from .lexicon import Lexicon, Phrase
 from .product_space import PSObject
-from .semantics import LanguageModel, Tensor, make_tensor
+from .semantics import LanguageModel, Tensor, make_tensor, space_shape
 from .translation import Translation, _pair_rows
 
 FORMAT_VERSION = 1
@@ -137,22 +137,68 @@ def _resolve_model(ref, base_dir: Path, kind: str) -> LanguageModel:
 # -- lexicons ---------------------------------------------------------------
 
 def lexicon_from_doc(doc, base_dir: Path = Path(".")) -> Lexicon:
+    """The lexicon a document holds, read one type at a time.
+
+    Each record's fields are checked in document order, and each distinct
+    type string is parsed at its first record.  The data of all records
+    of one type string are then converted and checked together; a group
+    that fails is read record by record, which names its first bad one.
+    """
     doc = _check_format(doc, "lexicon")
     model = _resolve_model(_require(doc, "model", "lexicon"), base_dir, "lexicon")
     records = _require(doc, "words", "lexicon", list)
-    entries: dict[str, list[PSObject]] = {}
-    types: dict[str, PregroupType] = {}  # each distinct type string parsed once
-    for record in records:
-        word = str(_require(record, "word", "lexicon record"))
-        type_string = str(_require(record, "type", "lexicon record"))
-        g = types.get(type_string)
-        if g is None:
+    words: list[str] = []  # each record's word and type string, in document order
+    type_strings: list[str] = []
+    groups: dict[str, tuple[PregroupType, list, list]] = {}  # type string -> (type, words, data)
+    for i, record in enumerate(records):
+        word = _string(record, "word", "lexicon record words[{}]", i)
+        type_string = _string(record, "type", "lexicon record {!r}", word)
+        group = groups.get(type_string)
+        if group is None:
             g = _type_of(type_string, f"lexicon record {word!r} 'type'", model.basics)
-            types[type_string] = g
-        data = _require(record, "data", "lexicon record", list)
-        tensor = _tensor_of(model, g, data, f"lexicon record {word!r}")
-        entries.setdefault(word, []).append(PSObject(tensor))
-    return Lexicon(model, {w: tuple(objs) for w, objs in entries.items()})
+            group = groups[type_string] = (g, [], [])
+        group[1].append(word)
+        group[2].append(_require(record, "data", "lexicon record", list))
+        words.append(word)
+        type_strings.append(type_string)
+    tensors = {s: iter(_tensors_of(model, *group)) for s, group in groups.items()}
+    entries: dict[str, list[PSObject]] = {}
+    for word, type_string in zip(words, type_strings):
+        entries.setdefault(word, []).append(PSObject(next(tensors[type_string])))
+    with _at("lexicon record"):
+        return Lexicon(model, {w: tuple(objs) for w, objs in entries.items()})
+
+
+def _string(record, key: str, where: str, name) -> str:
+    """A lexicon record's ``key`` field, which must be a JSON string; a
+    fault is reported at ``where.format(name)``, formatted only then."""
+    value = _require(record, key, "lexicon record")
+    if not isinstance(value, str):
+        kind = _JSON_KINDS.get(type(value), type(value).__name__)
+        raise FormatError(f"{where.format(name)} {key!r} must be a JSON string, not {kind}")
+    return value
+
+
+_JSON_KINDS = {type(None): "null", bool: "a boolean", int: "a number", float: "a number",
+               list: "an array", dict: "an object"}
+
+
+def _tensors_of(model: LanguageModel, g: PregroupType, words: list, data: list) -> list[Tensor]:
+    """The tensors of type ``g`` that the records of ``words`` hold in ``data``.
+
+    The data lists are converted and checked by one ``_numbers`` call,
+    and each record gets its own C-contiguous copy of its row.  If that
+    check fails, or the data are shaped rather than flat, every record is
+    read alone by ``_tensor_of``, which names the first bad one.
+    """
+    shape = space_shape(model, g)
+    try:
+        rows = _numbers(data, "data")
+    except FormatError:
+        rows = None
+    if rows is None or rows.shape != (len(data), math.prod(shape)):
+        return [_tensor_of(model, g, d, f"lexicon record {w!r}") for w, d in zip(words, data)]
+    return [Tensor._adopt(g, row.copy()) for row in rows.reshape(len(data), *shape)]
 
 
 def lexicon_to_doc(lex: Lexicon, model_ref=None) -> dict:

@@ -31,16 +31,23 @@ class Lexicon:
 
     def __post_init__(self) -> None:
         normalized = {}
+        shapes: dict[PregroupType, tuple[int, ...]] = {}  # each type's shape worked out once
         for word, objs in self.entries.items():
+            # a word is one token of a phrase as Phrase.parse splits it
+            if not isinstance(word, str) or word.split() != [word]:
+                raise ValueError(f"word {word!r} must be a non-empty string with no whitespace")
             objs = tuple(objs)
             if not objs:
                 raise ValueError(f"word {word!r} has an empty entry list")
             for obj in objs:
-                if list(obj.meaning.shape) != space_shape(self.model, obj.type):
+                g = obj.type
+                shape = shapes.get(g)
+                if shape is None:
+                    shape = shapes[g] = tuple(space_shape(self.model, g))
+                if obj.meaning.shape != shape:
                     raise ValueError(
                         f"entry for {word!r} has shape {list(obj.meaning.shape)}, "
-                        f"model {self.model.name!r} expects "
-                        f"{space_shape(self.model, obj.type)} for '{obj.type}'"
+                        f"model {self.model.name!r} expects {list(shape)} for '{g}'"
                     )
             normalized[word] = objs
         object.__setattr__(self, "entries", MappingProxyType(normalized))

@@ -9,13 +9,16 @@ from __future__ import annotations
 
 import math
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 
+from discotrans import io
 from discotrans.dictionary import DictionaryEntry, _distances, _image_lexicon, _reduced_rows
 from discotrans.errors import ModelMismatchError, NoReductionError
 from discotrans.grammar import PregroupType, Reduction, reduce_search
 from discotrans.lexicon import Lexicon, Phrase, lex_phrase
+from discotrans.product_space import PSObject
 from discotrans.semantics import LanguageModel, _contract, apply_reduction, space_shape
 from discotrans.translation import (
     NaturalityReport,
@@ -258,3 +261,26 @@ def validate_entry(lex_a, lex_b, t, entry: DictionaryEntry) -> float:
         target_row = _reduced_rows(onto[0], target.meaning.array[None])
     source_row = _reduced_rows(entry.reduction, image.meaning.array[None])
     return float(_distances(source_row, target_row)[0, 0])
+
+
+def lexicon_by_records(doc, base_dir: Path = Path(".")) -> Lexicon:
+    """``io.lexicon_from_doc`` as a per-record loop: each record's fields,
+    type and data are checked and converted on their own, in document
+    order, so the first bad record is the one named."""
+    doc = io._check_format(doc, "lexicon")
+    model = io._resolve_model(io._require(doc, "model", "lexicon"), base_dir, "lexicon")
+    records = io._require(doc, "words", "lexicon", list)
+    entries: dict[str, list[PSObject]] = {}
+    types: dict[str, PregroupType] = {}
+    for i, record in enumerate(records):
+        word = io._string(record, "word", "lexicon record words[{}]", i)
+        type_string = io._string(record, "type", "lexicon record {!r}", word)
+        if type_string not in types:
+            types[type_string] = io._type_of(
+                type_string, f"lexicon record {word!r} 'type'", model.basics
+            )
+        data = io._require(record, "data", "lexicon record", list)
+        tensor = io._tensor_of(model, types[type_string], data, f"lexicon record {word!r}")
+        entries.setdefault(word, []).append(PSObject(tensor))
+    with io._at("lexicon record"):
+        return Lexicon(model, {w: tuple(objs) for w, objs in entries.items()})

@@ -153,6 +153,29 @@ def test_meaning_names_the_record_of_a_bad_type(files, capsys):
     assert err == "error: lexicon record 'wears' 'type': unknown basic type 'n_q'\n"
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("word", None, "lexicon record words[1] 'word' must be a JSON string, not null"),
+        ("data", "1.5", "lexicon record 'a_boot' 'data' must hold JSON numbers only"),
+    ],
+)
+def test_meaning_names_the_record_of_a_non_string_word_or_string_number(
+    files, capsys, field, value, message
+):
+    path = files / "aware.lex.json"
+    doc = json.loads(path.read_text())
+    if field == "word":
+        doc["words"][1]["word"] = value
+    else:
+        doc["words"][1]["data"][0] = value
+    io.save_doc(doc, path)
+    code, out, err = run(
+        capsys, "meaning", "--lex", str(path), "--phrase", "Rosie wears boots", "--to", "s"
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_meaning_of_plain_sentence(files, capsys):
     code, out, _ = run(
         capsys,

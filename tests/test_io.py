@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from discotrans.lexicon import Lexicon, Phrase
 from discotrans.product_space import PSObject
 from discotrans.semantics import LanguageModel, make_tensor
 from discotrans.translation import identity_translation, translate_lexicon
+from oracles import lexicon_by_records
 from test_dictionary import _random_bucket_pair, ones_lexicon
 
 
@@ -141,6 +143,160 @@ def test_a_fault_inside_a_reader_is_not_a_format_error():
     with pytest.raises(KeyError):
         with io._at("somewhere"):
             raise KeyError("a fault, not an input error")
+
+
+# -- the lexicon reader against the per-record loop ------------------------------------
+
+_READER_DIMS = {"n": 2, "s": 1, "p": 3}
+_READER_TYPES = ["n", "p", "s", "", "n^r s n^l", "p n^l", "n^r s p^l"]
+_EDGE_NUMBERS = [0, -0.0, 5e-324, 1e-310, 1.7e308, -1.7e308, 2**53 + 1, -(2**63), 2**63 - 1]
+_json_numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**63), 2**63 - 1),
+    st.sampled_from(_EDGE_NUMBERS),
+)
+
+
+@st.composite
+def _lexicon_docs(draw):
+    """A valid lexicon document: types interleaved, words with several
+    senses, and some records' data shaped as nested lists."""
+    records = []
+    for _ in range(draw(st.integers(1, 12))):
+        type_string = draw(st.sampled_from(_READER_TYPES))
+        shape = [_READER_DIMS[s.split("^")[0]] for s in type_string.split()]
+        data = draw(st.lists(_json_numbers, min_size=math.prod(shape), max_size=math.prod(shape)))
+        if len(shape) > 1 and draw(st.booleans()):
+            data = np.array(data, dtype=object).reshape(shape).tolist()
+        records.append({"word": draw(st.sampled_from("abcd")), "type": type_string, "data": data})
+    doc = {"format": 1, "model": {"format": 1, "name": "m", "basic_types": _READER_DIMS},
+           "words": records}
+    return json.loads(json.dumps(doc))
+
+
+def _first_leaves(data: list) -> list:
+    """The innermost list that holds ``data``'s first number."""
+    while isinstance(data[0], list):
+        data = data[0]
+    return data
+
+
+_RECORD_FAULTS = {
+    "string": lambda r: _first_leaves(r["data"]).__setitem__(0, "1.5"),
+    "boolean": lambda r: _first_leaves(r["data"]).__setitem__(0, True),
+    "null": lambda r: _first_leaves(r["data"]).__setitem__(0, None),
+    "400-digit integer": lambda r: _first_leaves(r["data"]).__setitem__(0, 10**399),
+    "nested number": lambda r: _first_leaves(r["data"]).__setitem__(0, [1.0]),
+    "one entry too few": lambda r: _first_leaves(r["data"]).pop(),
+    "one entry too many": lambda r: _first_leaves(r["data"]).append(1.0),
+    "malformed type": lambda r: r.update(type="n^x"),
+    "unknown type": lambda r: r.update(type="q"),
+}
+
+
+def _assert_same_lexicon(got: Lexicon, expected: Lexicon) -> None:
+    assert got.model == expected.model
+    assert list(got.entries) == list(expected.entries)
+    for word, senses in expected.entries.items():
+        assert [obj.type for obj in got.entries[word]] == [obj.type for obj in senses]
+        for a, b in zip(got.entries[word], senses):
+            assert a.meaning.shape == b.meaning.shape
+            assert a.meaning.array.tobytes() == b.meaning.array.tobytes()
+            for flag in ("c_contiguous", "owndata", "writeable"):
+                assert getattr(a.meaning.array.flags, flag) == getattr(b.meaning.array.flags, flag)
+
+
+def _assert_read_as_the_record_loop_reads(doc) -> None:
+    try:
+        expected = lexicon_by_records(doc)
+    except FormatError as fault:
+        with pytest.raises(FormatError) as caught:
+            io.lexicon_from_doc(doc)
+        assert str(caught.value) == str(fault)
+    else:
+        _assert_same_lexicon(io.lexicon_from_doc(doc), expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lexicon_docs())
+def test_a_lexicon_is_read_as_the_record_loop_reads_it(doc):
+    _assert_read_as_the_record_loop_reads(doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lexicon_docs(), st.data())
+def test_a_one_field_fault_is_reported_as_the_record_loop_reports_it(doc, data):
+    record = data.draw(st.sampled_from(doc["words"]))
+    _RECORD_FAULTS[data.draw(st.sampled_from(sorted(_RECORD_FAULTS)))](record)
+    _assert_read_as_the_record_loop_reads(doc)
+
+
+@pytest.mark.parametrize("value", ["1.5", True, None, 10**399, [1.0]])
+def test_a_non_number_in_a_shared_type_names_its_record(wardrobe, value):
+    # numpy reads "1.5" as 1.5 and null as nan when asked for floats: neither may pass
+    doc = io.lexicon_to_doc(wardrobe)
+    record = doc["words"][2]  # 'boots', the second record of type n_p
+    assert record["type"] == doc["words"][1]["type"]
+    record["data"][0] = value
+    problem = "be a regular array of numbers" if value == [1.0] else "hold JSON numbers only"
+    with pytest.raises(FormatError) as caught:
+        io.lexicon_from_doc(doc)
+    assert str(caught.value) == f"lexicon record 'boots' 'data' must {problem}"
+    _assert_read_as_the_record_loop_reads(doc)
+
+
+def test_records_are_read_alone_only_in_a_failing_group(wardrobe, monkeypatch):
+    read_alone = []
+    tensor_of = io._tensor_of
+
+    def counted(model, g, data, what):
+        read_alone.append(what)
+        return tensor_of(model, g, data, what)
+
+    monkeypatch.setattr(io, "_tensor_of", counted)
+    doc = io.lexicon_to_doc(wardrobe)
+    io.lexicon_from_doc(doc)
+    assert read_alone == []
+    # the third of the four 'wears' senses, each of its own type: only it is read alone
+    doc["words"][5]["data"].pop()
+    with pytest.raises(FormatError):
+        io.lexicon_from_doc(doc)
+    assert read_alone == ["lexicon record 'wears'"]
+    # the second of the two n_p records: both are read alone, in document order
+    doc = io.lexicon_to_doc(wardrobe)
+    doc["words"][2]["data"][0] = "1.5"
+    read_alone.clear()
+    with pytest.raises(FormatError):
+        io.lexicon_from_doc(doc)
+    assert read_alone == ["lexicon record 'a_boot'", "lexicon record 'boots'"]
+
+
+@pytest.mark.parametrize(
+    "value, kind",
+    [(None, "null"), (7, "a number"), (["a"], "an array"), (True, "a boolean"), ({}, "an object")],
+)
+def test_a_lexicon_word_and_type_must_be_json_strings(wardrobe, value, kind):
+    doc = io.lexicon_to_doc(wardrobe)
+    doc["words"][1]["word"] = value
+    with pytest.raises(FormatError) as caught:
+        io.lexicon_from_doc(doc)
+    assert str(caught.value) == f"lexicon record words[1] 'word' must be a JSON string, not {kind}"
+    doc = io.lexicon_to_doc(wardrobe)
+    doc["words"][1]["type"] = value
+    with pytest.raises(FormatError) as caught:
+        io.lexicon_from_doc(doc)
+    assert str(caught.value) == f"lexicon record 'a_boot' 'type' must be a JSON string, not {kind}"
+
+
+@pytest.mark.parametrize("word", ["", "a boot", "boots\n", " boots"])
+def test_a_lexicon_word_must_be_one_phrase_token(wardrobe, word):
+    doc = io.lexicon_to_doc(wardrobe)
+    doc["words"][1]["word"] = word
+    with pytest.raises(FormatError) as caught:
+        io.lexicon_from_doc(doc)
+    assert str(caught.value) == (
+        f"lexicon record: word {word!r} must be a non-empty string with no whitespace"
+    )
 
 
 def test_dictionary_doc_round_trip(collapse, wardrobe):

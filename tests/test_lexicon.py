@@ -43,6 +43,16 @@ def test_empty_entry_list_rejected():
         Lexicon(LanguageModel("m", {"n": 2}), {"w": ()})
 
 
+@pytest.mark.parametrize("word", ["", "a b", "a\tb", "w\n", "a\xa0b", 7, None])
+def test_a_word_is_one_phrase_token(word):
+    # Phrase.parse splits on whitespace, so no phrase could name such a word
+    model = LanguageModel("m", {"n": 2})
+    sense = PSObject(make_tensor(model, parse_type("n"), [1, 0]))
+    with pytest.raises(ValueError) as caught:
+        Lexicon(model, {"w": (sense,), word: (sense,)})
+    assert str(caught.value) == f"word {word!r} must be a non-empty string with no whitespace"
+
+
 def test_single_word_phrase_is_its_entry(wardrobe):
     out = lex_phrase(wardrobe, Phrase(("Rosie",)))
     assert out == wardrobe.entries["Rosie"][0]
