@@ -47,26 +47,54 @@ def round_sig(x: float) -> float:
 
 def _check_format(doc, kind: str) -> dict:
     if not isinstance(doc, dict):
-        raise FormatError(f"{kind} document must be a JSON object")
-    if doc.get("format") != FORMAT_VERSION:
+        raise FormatError(f"{kind} document must be a JSON object, not {_found(doc)}")
+    version = doc.get("format")
+    # JSON true is Python's 1, so a boolean is refused by its type
+    if version != FORMAT_VERSION or isinstance(version, bool):
         raise FormatError(
-            f"{kind} document must declare \"format\": {FORMAT_VERSION}, "
-            f"got {doc.get('format')!r}"
+            f"{kind} document must declare \"format\": {FORMAT_VERSION}, got {version!r}"
         )
     return doc
 
 
-def _require(doc: dict, key: str, kind: str, container: type | None = None):
-    """``doc[key]``; ``doc`` must be an object and the value, if asked, a ``container``."""
-    if not isinstance(doc, dict):
-        raise FormatError(f"{kind} must be a JSON object")
-    if key not in doc:
-        raise FormatError(f"{kind} document is missing {key!r}")
-    value = doc[key]
-    if container is not None and not isinstance(value, container):
-        name = "array" if container is list else "object"
-        raise FormatError(f"{kind} {key!r} must be a JSON {name}")
-    return value
+_KINDS = {str: "string", int: "integer", (int, float): "number", list: "array", dict: "object",
+          (str, dict): "string or object"}
+_FOUND = {type(None): "null", bool: "a boolean", int: "an integer", float: "a number",
+          str: "a string", list: "an array", dict: "an object"}
+
+
+def _found(value) -> str:
+    return _FOUND.get(type(value), type(value).__name__)
+
+
+def _key(key) -> str:
+    """A field's key as a fault names it: ``'key'``, or ``[i]`` for an index."""
+    return f"[{key}]" if isinstance(key, int) else f" {key!r}"
+
+
+def _field(doc, key, where: str, kind=None, name=None):
+    """``doc[key]``: ``doc`` must be a JSON object that holds ``key``, or a
+    JSON array that an index ``key`` is taken from.
+
+    If ``kind`` is given, the value must be of that JSON kind: ``str``,
+    ``int``, ``(int, float)`` (a number), ``list``, ``dict`` or ``(str,
+    dict)``; a boolean is none of them.  A fault names ``where.format(name)``, formatted only
+    then, and the key as ``_key`` writes it.
+    """
+    try:
+        value = doc[key]
+    except (KeyError, TypeError, IndexError):
+        if not isinstance(doc, dict):
+            raise FormatError(
+                f"{where.format(name)} must be a JSON object, not {_found(doc)}"
+            ) from None
+        raise FormatError(f"{where.format(name)} is missing {key!r}") from None
+    # a JSON value has its exact type, which the first test takes at once
+    if type(value) is kind or kind is None or isinstance(value, kind) and type(value) is not bool:
+        return value
+    raise FormatError(
+        f"{where.format(name)}{_key(key)} must be a JSON {_KINDS[kind]}, not {_found(value)}"
+    )
 
 
 @contextmanager
@@ -83,10 +111,12 @@ def _at(where: str):
         raise FormatError(f"{where}: {exc}") from exc
 
 
-def _type_of(value, where: str, basics=None) -> PregroupType:
-    """``value`` read as a type string; a bad one is reported at ``where``."""
-    with _at(where):
-        return parse_type(str(value), basics)
+def _type_of(doc, key, where: str, basics=None, name=None) -> PregroupType:
+    """The type that the string ``_field(doc, key, where, str, name)``
+    spells; one that does not parse is reported at that field."""
+    value = _field(doc, key, where, str, name)
+    with _at(where.format(name) + _key(key)):
+        return parse_type(value, basics)
 
 
 def _numbers(value, what: str) -> np.ndarray:
@@ -116,22 +146,21 @@ def _numbers(value, what: str) -> np.ndarray:
 
 def model_from_doc(doc) -> LanguageModel:
     doc = _check_format(doc, "model")
-    name = _require(doc, "name", "model")
-    basic_types = _require(doc, "basic_types", "model", dict)
+    name = _field(doc, "name", "model", str)
+    basic_types = _field(doc, "basic_types", "model", dict)
     with _at("model 'basic_types'"):
-        return LanguageModel(str(name), dict(basic_types))
+        return LanguageModel(name, dict(basic_types))
 
 
 def model_to_doc(model: LanguageModel) -> dict:
     return {"format": FORMAT_VERSION, "name": model.name, "basic_types": dict(model.dims)}
 
 
-def _resolve_model(ref, base_dir: Path, kind: str) -> LanguageModel:
-    if isinstance(ref, str):
-        return load_model(base_dir / ref)
-    if isinstance(ref, dict):
-        return model_from_doc(ref)
-    raise FormatError(f"{kind}: model reference must be a path string or inline document")
+def _resolve_model(doc: dict, key: str, kind: str, base_dir: Path) -> LanguageModel:
+    """The model that ``doc[key]`` holds: a path string, relative to
+    ``base_dir``, or an inline model document."""
+    ref = _field(doc, key, kind, (str, dict))
+    return load_model(base_dir / ref) if isinstance(ref, str) else model_from_doc(ref)
 
 
 # -- lexicons ---------------------------------------------------------------
@@ -145,20 +174,20 @@ def lexicon_from_doc(doc, base_dir: Path = Path(".")) -> Lexicon:
     that fails is read record by record, which names its first bad one.
     """
     doc = _check_format(doc, "lexicon")
-    model = _resolve_model(_require(doc, "model", "lexicon"), base_dir, "lexicon")
-    records = _require(doc, "words", "lexicon", list)
+    model = _resolve_model(doc, "model", "lexicon", base_dir)
+    records = _field(doc, "words", "lexicon", list)
     words: list[str] = []  # each record's word and type string, in document order
     type_strings: list[str] = []
     groups: dict[str, tuple[PregroupType, list, list]] = {}  # type string -> (type, words, data)
     for i, record in enumerate(records):
-        word = _string(record, "word", "lexicon record words[{}]", i)
-        type_string = _string(record, "type", "lexicon record {!r}", word)
+        word = _field(record, "word", "lexicon record words[{}]", str, i)
+        type_string = _field(record, "type", "lexicon record words[{}]", str, i)
         group = groups.get(type_string)
         if group is None:
-            g = _type_of(type_string, f"lexicon record {word!r} 'type'", model.basics)
+            g = _type_of(record, "type", "lexicon record {!r}", model.basics, word)
             group = groups[type_string] = (g, [], [])
         group[1].append(word)
-        group[2].append(_require(record, "data", "lexicon record", list))
+        group[2].append(_field(record, "data", "lexicon record words[{}]", list, i))
         words.append(word)
         type_strings.append(type_string)
     tensors = {s: iter(_tensors_of(model, *group)) for s, group in groups.items()}
@@ -167,20 +196,6 @@ def lexicon_from_doc(doc, base_dir: Path = Path(".")) -> Lexicon:
         entries.setdefault(word, []).append(PSObject(next(tensors[type_string])))
     with _at("lexicon record"):
         return Lexicon(model, {w: tuple(objs) for w, objs in entries.items()})
-
-
-def _string(record, key: str, where: str, name) -> str:
-    """A lexicon record's ``key`` field, which must be a JSON string; a
-    fault is reported at ``where.format(name)``, formatted only then."""
-    value = _require(record, key, "lexicon record")
-    if not isinstance(value, str):
-        kind = _JSON_KINDS.get(type(value), type(value).__name__)
-        raise FormatError(f"{where.format(name)} {key!r} must be a JSON string, not {kind}")
-    return value
-
-
-_JSON_KINDS = {type(None): "null", bool: "a boolean", int: "a number", float: "a number",
-               list: "an array", dict: "an object"}
 
 
 def _tensors_of(model: LanguageModel, g: PregroupType, words: list, data: list) -> list[Tensor]:
@@ -222,15 +237,12 @@ def lexicon_to_doc(lex: Lexicon, model_ref=None) -> dict:
 
 def translation_from_doc(doc, base_dir: Path = Path(".")) -> Translation:
     doc = _check_format(doc, "translation")
-    source = _resolve_model(_require(doc, "source", "translation"), base_dir, "translation")
-    target = _resolve_model(_require(doc, "target", "translation"), base_dir, "translation")
-    j_doc = _require(doc, "j", "translation", dict)
-    alpha_doc = _require(doc, "alpha", "translation", dict)
-    j = {
-        str(b): _type_of(image, f"translation 'j' image of {b!r}", target.basics)
-        for b, image in j_doc.items()
-    }
-    alpha = {str(b): _numbers(rows, f"alpha[{b!r}]") for b, rows in alpha_doc.items()}
+    source = _resolve_model(doc, "source", "translation", base_dir)
+    target = _resolve_model(doc, "target", "translation", base_dir)
+    j_doc = _field(doc, "j", "translation", dict)
+    alpha_doc = _field(doc, "alpha", "translation", dict)
+    j = {b: _type_of(j_doc, b, "translation 'j' image of", target.basics) for b in j_doc}
+    alpha = {b: _numbers(rows, f"translation alpha[{b!r}]") for b, rows in alpha_doc.items()}
     with _at("translation document"):
         return Translation(source, target, j, alpha)
 
@@ -260,8 +272,8 @@ def tensor_to_doc(t: Tensor) -> dict:
 
 def tensor_from_doc(doc, model: LanguageModel) -> Tensor:
     doc = _check_format(doc, "tensor")
-    g = _type_of(_require(doc, "type", "tensor"), "tensor 'type'", model.basics)
-    return _tensor_of(model, g, _require(doc, "data", "tensor", list), "tensor")
+    g = _type_of(doc, "type", "tensor", model.basics)
+    return _tensor_of(model, g, _field(doc, "data", "tensor", list), "tensor")
 
 
 def _tensor_of(model: LanguageModel, g: PregroupType, data: list, what: str) -> Tensor:
@@ -273,7 +285,7 @@ def _tensor_of(model: LanguageModel, g: PregroupType, data: list, what: str) -> 
 
 def matrix_from_doc(doc) -> np.ndarray:
     doc = _check_format(doc, "matrix")
-    matrix = _numbers(_require(doc, "matrix", "matrix", list), "matrix")
+    matrix = _numbers(_field(doc, "matrix", "matrix", list), "matrix")
     if matrix.ndim != 2:
         raise FormatError("matrix must be a list of equal-length rows")
     return matrix
@@ -292,10 +304,13 @@ def pairs_from_doc(doc) -> list[tuple[list[float], list[float]]]:
     doc = _check_format(doc, "pairs")
     pairs = [
         tuple(
-            _numbers(_require(record, key, "pair record", list), f"pair {key}").tolist()
+            _numbers(
+                _field(record, key, "pair record pairs[{}]", list, i),
+                f"pair record pairs[{i}] {key!r}",
+            ).tolist()
             for key in ("source", "target")
         )
-        for record in _require(doc, "pairs", "pairs", list)
+        for i, record in enumerate(_field(doc, "pairs", "pairs", list))
     ]
     with _at("pairs document"):
         _pair_rows(pairs)
@@ -319,27 +334,24 @@ def _reduction_to_doc(r: Reduction) -> dict:
     }
 
 
-def _is_int_list(value, length: int | None = None) -> bool:
-    """Whether ``value`` is a JSON array of integers (booleans excluded)."""
-    return (
-        isinstance(value, list)
-        and (length is None or len(value) == length)
-        and all(isinstance(v, int) and not isinstance(v, bool) for v in value)
-    )
+def _items(doc, key, where: str, kind) -> list:
+    """``_field(doc, key, where, list)``, each of whose items must be of
+    JSON kind ``kind``."""
+    items = _field(doc, key, where, list)
+    for i, item in enumerate(items):
+        if type(item) is not kind:  # the place is formatted only for an item of another type
+            _field(items, i, where + _key(key), kind)
+    return items
 
 
-def _phrase_from_doc(record: dict, key: str) -> Phrase:
-    """The phrase that a dictionary entry's ``key`` field holds."""
-    where = f"dictionary entry {key!r}"
-    doc = _require(record, key, "dictionary entry")
-    words = _require(doc, "words", where, list)
-    if not all(isinstance(w, str) for w in words):
-        raise FormatError(f"{where} 'words' must be an array of strings")
-    senses = doc.get("senses", [])
-    if not _is_int_list(senses):
-        raise FormatError(f"{where} 'senses' must be an array of integers")
+def _phrase_from_doc(record: dict, key: str, entry: str) -> Phrase:
+    """The phrase that the ``key`` field of a dictionary ``entry`` holds."""
+    where = entry + _key(key)
+    doc = _field(record, key, entry)
+    words = _items(doc, "words", where, str)
+    senses = _items(doc, "senses", where, int) if "senses" in doc else None
     with _at(where):
-        return Phrase(tuple(words), tuple(senses) if "senses" in doc else None)
+        return Phrase(words, senses)
 
 
 def _gather(items: list, column: np.ndarray) -> list:
@@ -356,33 +368,29 @@ def dictionary_to_doc(table: DictionaryTable) -> dict:
 def dictionary_from_doc(doc) -> list[DictionaryEntry]:
     doc = _check_format(doc, "dictionary")
     entries = []
-    for record in _require(doc, "entries", "dictionary", list):
-        red_doc = _require(record, "reduction", "dictionary entry")
-        cups = _require(red_doc, "cups", "reduction", list)
-        if not all(_is_int_list(c, 2) for c in cups):
-            raise FormatError("reduction 'cups' must be an array of [int, int] pairs")
-        distance = _require(record, "distance", "dictionary entry")
-        if not (
-            isinstance(distance, (int, float))
-            and not isinstance(distance, bool)
-            and math.isfinite(distance)
-        ):
-            raise FormatError("dictionary entry 'distance' must be a finite number")
-        source = _type_of(_require(red_doc, "source", "reduction"), "reduction 'source'")
-        target = _type_of(_require(red_doc, "target", "reduction"), "reduction 'target'")
-        with _at(f"reduction cups {cups} on '{source}'"):
+    for n, record in enumerate(_field(doc, "entries", "dictionary", list)):
+        entry = f"dictionary entry entries[{n}]"
+        where = entry + " 'reduction'"
+        red_doc = _field(record, "reduction", entry)
+        source = _type_of(red_doc, "source", where)
+        target = _type_of(red_doc, "target", where)
+        cups = _items(red_doc, "cups", where, list)
+        for c in range(len(cups)):
+            _items(cups, c, where + " 'cups'", int)
+        with _at(where + " 'cups'"):
             reduction = Reduction(source, cups)
         if reduction.target != target:
             raise FormatError(
-                f"reduction cups {cups} take '{source}' to '{reduction.target}', "
+                f"{where} 'cups' take '{source}' to '{reduction.target}', "
                 f"not to its declared target '{target}'"
             )
+        distance = _field(record, "distance", entry, (int, float))
         entries.append(
             DictionaryEntry(
-                _phrase_from_doc(record, "source"),
-                _phrase_from_doc(record, "target"),
+                _phrase_from_doc(record, "source", entry),
+                _phrase_from_doc(record, "target", entry),
                 reduction,
-                float(distance),
+                float(_numbers(distance, entry + " 'distance'")),
             )
         )
     return entries
@@ -445,10 +453,11 @@ def _render(
 # -- path-level helpers -------------------------------------------------------
 
 def _load_json(path) -> dict:
+    """The JSON document in the file ``path``, read as UTF-8 (RFC 8259)."""
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             return json.load(handle)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -268,18 +268,18 @@ def lexicon_by_records(doc, base_dir: Path = Path(".")) -> Lexicon:
     type and data are checked and converted on their own, in document
     order, so the first bad record is the one named."""
     doc = io._check_format(doc, "lexicon")
-    model = io._resolve_model(io._require(doc, "model", "lexicon"), base_dir, "lexicon")
-    records = io._require(doc, "words", "lexicon", list)
+    model = io._resolve_model(doc, "model", "lexicon", base_dir)
+    records = io._field(doc, "words", "lexicon", list)
     entries: dict[str, list[PSObject]] = {}
     types: dict[str, PregroupType] = {}
     for i, record in enumerate(records):
-        word = io._string(record, "word", "lexicon record words[{}]", i)
-        type_string = io._string(record, "type", "lexicon record {!r}", word)
+        word = io._field(record, "word", "lexicon record words[{}]", str, i)
+        type_string = io._field(record, "type", "lexicon record words[{}]", str, i)
         if type_string not in types:
             types[type_string] = io._type_of(
-                type_string, f"lexicon record {word!r} 'type'", model.basics
+                record, "type", "lexicon record {!r}", model.basics, word
             )
-        data = io._require(record, "data", "lexicon record", list)
+        data = io._field(record, "data", "lexicon record words[{}]", list, i)
         tensor = io._tensor_of(model, types[type_string], data, f"lexicon record {word!r}")
         entries.setdefault(word, []).append(PSObject(tensor))
     with io._at("lexicon record"):

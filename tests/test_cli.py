@@ -396,6 +396,14 @@ def test_an_unreadable_model_reference_names_the_option_and_the_file(files, caps
     assert str(files / "missing.model.json") in err
 
 
+def test_a_file_that_is_not_utf8_names_its_path(files, capsys):
+    path = str(files / "utf16.lex.json")
+    Path(path).write_bytes(b"\xff\xfe{\x00}\x00")
+    code, out, err = run(capsys, "meaning", "--lex", path, "--phrase", "Rosie", "--to", "n_s")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path} is not valid JSON: ") and err.count("\n") == 1
+
+
 def test_meaning_output_reloads(files, capsys):
     code, out, _ = run(
         capsys,

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discotrans import io
+from discotrans.demo import collapse_number_translation, wardrobe_lexicon
 from discotrans.dictionary import DictionaryQuery, DictionaryTable, build_dictionary
 from discotrans.errors import FormatError
 from discotrans.grammar import Reduction, parse_type
@@ -16,6 +18,7 @@ from discotrans.product_space import PSObject
 from discotrans.semantics import LanguageModel, make_tensor
 from discotrans.translation import identity_translation, translate_lexicon
 from oracles import lexicon_by_records
+from test_cli import _fields
 from test_dictionary import _random_bucket_pair, ones_lexicon
 
 
@@ -136,7 +139,9 @@ def test_a_reduction_type_string_is_reported_with_its_place(key):
     doc["entries"][0]["reduction"][key] = "n^"
     with pytest.raises(FormatError) as caught:
         io.dictionary_from_doc(doc)
-    assert str(caught.value) == f"reduction {key!r}: malformed simple type 'n^'"
+    assert str(caught.value) == (
+        f"dictionary entry entries[0] 'reduction' {key!r}: malformed simple type 'n^'"
+    )
 
 
 def test_a_fault_inside_a_reader_is_not_a_format_error():
@@ -273,7 +278,7 @@ def test_records_are_read_alone_only_in_a_failing_group(wardrobe, monkeypatch):
 
 @pytest.mark.parametrize(
     "value, kind",
-    [(None, "null"), (7, "a number"), (["a"], "an array"), (True, "a boolean"), ({}, "an object")],
+    [(None, "null"), (7, "an integer"), (["a"], "an array"), (True, "a boolean"), ({}, "an object")],
 )
 def test_a_lexicon_word_and_type_must_be_json_strings(wardrobe, value, kind):
     doc = io.lexicon_to_doc(wardrobe)
@@ -285,7 +290,7 @@ def test_a_lexicon_word_and_type_must_be_json_strings(wardrobe, value, kind):
     doc["words"][1]["type"] = value
     with pytest.raises(FormatError) as caught:
         io.lexicon_from_doc(doc)
-    assert str(caught.value) == f"lexicon record 'a_boot' 'type' must be a JSON string, not {kind}"
+    assert str(caught.value) == f"lexicon record words[1] 'type' must be a JSON string, not {kind}"
 
 
 @pytest.mark.parametrize("word", ["", "a boot", "boots\n", " boots"])
@@ -515,3 +520,140 @@ def test_bad_json_file_reports_format_error(tmp_path):
 def test_matrix_must_be_two_dimensional():
     with pytest.raises(FormatError):
         io.matrix_from_doc({"format": 1, "matrix": [1, 2, 3]})
+
+
+# -- every reader against one-field changes of the demo documents ------------------------
+
+def _demo_readers():
+    """Each of the seven readers, as ``read(doc, base_dir)``, with the demo
+    documents it loads.  The ``dict --json`` document's entries are
+    independent records, so each is swept in a document of its own."""
+    lex, t = wardrobe_lexicon(), collapse_number_translation()
+    query = DictionaryQuery(
+        threshold=0.0, max_source_len=3, max_target_len=3, target_type_filter=parse_type("s")
+    )
+    table = build_dictionary(lex, translate_lexicon(t, lex), t, query)
+    pairs = [{"source": [1.0, 0.0], "target": [2.0, -1.0]},
+             {"source": [0.0, 1.0], "target": [0.0, 3.0]}]
+    return {
+        "model": ([io.model_to_doc(lex.model)], lambda doc, _: io.model_from_doc(doc)),
+        "lexicon": ([io.lexicon_to_doc(lex)], io.lexicon_from_doc),
+        "translation": ([io.translation_to_doc(t)], io.translation_from_doc),
+        "tensor": ([io.tensor_to_doc(lex.entries["wears"][0].meaning)],
+                   lambda doc, _: io.tensor_from_doc(doc, lex.model)),
+        "matrix": ([{"format": 1, "matrix": [[2.0, 0.0], [0.0, 0.5]]}],
+                   lambda doc, _: io.matrix_from_doc(doc)),
+        "pairs": ([{"format": 1, "pairs": pairs}], lambda doc, _: io.pairs_from_doc(doc)),
+        "dictionary": (
+            [{"format": 1, "entries": [entry]} for entry in io.dictionary_to_doc(table)["entries"]],
+            lambda doc, _: io.dictionary_from_doc(doc),
+        ),
+    }
+
+
+_READERS = _demo_readers()
+
+
+def _changed(doc, path, value):
+    """A copy of ``doc`` whose field at ``path`` is deleted (``_MISSING``) or set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    parent = doc
+    for key in parents:
+        parent = parent[key]
+    if value is _MISSING:
+        del parent[last]
+    else:
+        parent[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_every_one_field_change_loads_or_is_a_format_error(reader, tmp_path):
+    docs, read = _READERS[reader]
+    # a path-string model reference names a file: "x" is the demo model
+    io.save_doc(_READERS["model"][0][0], tmp_path / "x")
+    for doc in docs:
+        read(doc, tmp_path)
+        for path in _fields(doc):
+            for value in [_MISSING, None, True, 7, "x", [], {}]:
+                try:
+                    read(_changed(doc, path, value), tmp_path)
+                except FormatError:
+                    pass
+                except Exception as exc:
+                    pytest.fail(f"{reader} {path} = {value!r}: {type(exc).__name__}: {exc}")
+
+
+def _both_types_null(doc):
+    doc["entries"][0]["reduction"].update(source=None, target=None, cups=[])
+
+
+@pytest.mark.parametrize("reader, change, message", [
+    # loaded as the name "7" or "None" by a str() of the value
+    ("model", lambda doc: doc.update(name=7), "model 'name' must be a JSON string, not an integer"),
+    ("model", lambda doc: doc.update(name=None), "model 'name' must be a JSON string, not null"),
+    # reported as malformed simple type "['n']"
+    ("translation", lambda doc: doc["j"].update(n_s=["n"]),
+     "translation 'j' image of 'n_s' must be a JSON string, not an array"),
+    # loaded with the basic type None on both sides
+    ("dictionary", _both_types_null,
+     "dictionary entry entries[0] 'reduction' 'source' must be a JSON string, not null"),
+    # a record without data was named "lexicon record document"
+    ("lexicon", lambda doc: doc["words"][2].pop("data"), "lexicon record words[2] is missing 'data'"),
+    ("lexicon", lambda doc: doc["words"].__setitem__(2, 5),
+     "lexicon record words[2] must be a JSON object, not an integer"),
+    ("lexicon", lambda doc: doc.update(model=7),
+     "lexicon 'model' must be a JSON string or object, not an integer"),
+    ("pairs", lambda doc: doc["pairs"][1]["target"].__setitem__(0, None),
+     "pair record pairs[1] 'target' must hold JSON numbers only"),
+    ("dictionary", lambda doc: doc["entries"][0]["target"]["senses"].__setitem__(1, True),
+     "dictionary entry entries[0] 'target' 'senses'[1] must be a JSON integer, not a boolean"),
+    ("dictionary", lambda doc: doc["entries"][0]["source"]["words"].__setitem__(2, 5),
+     "dictionary entry entries[0] 'source' 'words'[2] must be a JSON string, not an integer"),
+    ("dictionary", lambda doc: doc["entries"][0]["reduction"]["cups"][1].__setitem__(0, 3.0),
+     "dictionary entry entries[0] 'reduction' 'cups'[1][0] must be a JSON integer, not a number"),
+    ("dictionary", lambda doc: doc["entries"][0]["reduction"]["cups"].__setitem__(0, [0, 1, 2]),
+     "dictionary entry entries[0] 'reduction' 'cups': cup (0, 1, 2) out of range for word "
+     "of length 5"),
+    ("dictionary", lambda doc: doc["entries"][0].update(distance="0"),
+     "dictionary entry entries[0] 'distance' must be a JSON number, not a string"),
+    ("dictionary", lambda doc: doc["entries"][0].update(distance=float("nan")),
+     "dictionary entry entries[0] 'distance' must hold finite numbers only"),
+])
+def test_a_field_fault_names_its_place_and_the_kind_found(reader, change, message):
+    docs, read = _READERS[reader]
+    doc = json.loads(json.dumps(docs[0]))
+    change(doc)
+    with pytest.raises(FormatError) as caught:
+        read(doc, Path("."))
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_format_must_be_the_number_one(reader):
+    # JSON true equals Python's 1; 1.0 is the number one and loads
+    docs, read = _READERS[reader]
+    doc = docs[0]
+    read(_changed(doc, ("format",), 1.0), Path("."))
+    with pytest.raises(FormatError) as caught:
+        read(_changed(doc, ("format",), True), Path("."))
+    assert str(caught.value) == f'{reader} document must declare "format": 1, got True'
+
+
+@pytest.mark.parametrize(
+    "load", [io.load_model, io.load_lexicon, io.load_translation, io.load_matrix, io.load_pairs]
+)
+def test_a_file_that_is_not_utf8_is_named(load, tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    with pytest.raises(FormatError) as caught:
+        load(path)
+    assert str(caught.value).startswith(f"{path} is not valid JSON: 'utf-8' codec can't decode")
+
+
+def test_a_utf8_file_is_read_as_utf8(tmp_path):
+    doc = {"format": 1, "name": "número", "basic_types": {"n": 2}}
+    path = tmp_path / "model.json"
+    path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    assert io.load_model(path).name == "número"
