@@ -25,7 +25,8 @@ import numpy as np
 
 from . import io
 from .dictionary import DictionaryQuery, build_dictionary
-from .errors import DiscotransError, NonFiniteError, NoReductionError, RankDeficientError
+from .errors import DiscotransError, FormatError, NonFiniteError, NoReductionError
+from .errors import RankDeficientError
 from .grammar import parse_type, reduce_search
 from .lexicon import Phrase, phrase_meaning
 from .semantics import normalize_sentence
@@ -43,13 +44,14 @@ def _print_doc(doc: dict) -> None:
 
 def _load(load, args, option: str):
     """The file that ``--option`` names, read by ``load``; a file that
-    cannot be read is reported with the option and the path given."""
+    cannot be read, or whose document is at fault, is reported with the
+    option and the path given."""
     path = getattr(args, option.replace("-", "_"))
     try:
         return load(path)
-    except OSError as exc:
-        reason = exc.strerror if exc.filename == path else exc
-        raise OSError(f"--{option} {path!r}: {reason}") from None
+    except (OSError, FormatError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) and exc.filename == path else exc
+        raise type(exc)(f"--{option} {path!r}: {reason}") from None
 
 
 @contextmanager
@@ -266,6 +268,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except RecursionError:
+        # the reduction search's; a file nested too deeply is not valid JSON (io._load_json)
         print("error: a type is too long to search for reductions", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -57,13 +58,16 @@ def _check_format(doc, kind: str) -> dict:
     return doc
 
 
-_KINDS = {str: "string", int: "integer", (int, float): "number", list: "array", dict: "object",
+_NUMBER = (int, float)  # a number that a float holds finitely: not NaN, Infinity or 10**400
+_KINDS = {str: "string", int: "integer", _NUMBER: "number", list: "array", dict: "object",
           (str, dict): "string or object"}
 _FOUND = {type(None): "null", bool: "a boolean", int: "an integer", float: "a number",
           str: "a string", list: "an array", dict: "an object"}
 
 
 def _found(value) -> str:
+    if type(value) in _NUMBER and not abs(value) <= sys.float_info.max:
+        return "an integer too large for a float" if type(value) is int else json.dumps(value)
     return _FOUND.get(type(value), type(value).__name__)
 
 
@@ -77,8 +81,9 @@ def _field(doc, key, where: str, kind=None, name=None):
     JSON array that an index ``key`` is taken from.
 
     If ``kind`` is given, the value must be of that JSON kind: ``str``,
-    ``int``, ``(int, float)`` (a number), ``list``, ``dict`` or ``(str,
-    dict)``; a boolean is none of them.  A fault names ``where.format(name)``, formatted only
+    ``int``, ``_NUMBER`` (a number that is finite as a float, so neither
+    NaN nor Infinity), ``list``, ``dict`` or ``(str, dict)``; a boolean is
+    none of them.  A fault names ``where.format(name)``, formatted only
     then, and the key as ``_key`` writes it.
     """
     try:
@@ -90,8 +95,12 @@ def _field(doc, key, where: str, kind=None, name=None):
             ) from None
         raise FormatError(f"{where.format(name)} is missing {key!r}") from None
     # a JSON value has its exact type, which the first test takes at once
-    if type(value) is kind or kind is None or isinstance(value, kind) and type(value) is not bool:
+    if type(value) is kind or kind is None:
         return value
+    if type(value) is not bool and isinstance(value, kind):
+        # NaN compares false, and an integer is compared exactly, with no overflow
+        if kind is not _NUMBER or abs(value) <= sys.float_info.max:
+            return value
     raise FormatError(
         f"{where.format(name)}{_key(key)} must be a JSON {_KINDS[kind]}, not {_found(value)}"
     )
@@ -384,13 +393,12 @@ def dictionary_from_doc(doc) -> list[DictionaryEntry]:
                 f"{where} 'cups' take '{source}' to '{reduction.target}', "
                 f"not to its declared target '{target}'"
             )
-        distance = _field(record, "distance", entry, (int, float))
         entries.append(
             DictionaryEntry(
                 _phrase_from_doc(record, "source", entry),
                 _phrase_from_doc(record, "target", entry),
                 reduction,
-                float(_numbers(distance, entry + " 'distance'")),
+                float(_field(record, "distance", entry, _NUMBER)),
             )
         )
     return entries
@@ -453,11 +461,17 @@ def _render(
 # -- path-level helpers -------------------------------------------------------
 
 def _load_json(path) -> dict:
-    """The JSON document in the file ``path``, read as UTF-8 (RFC 8259)."""
+    """The JSON document in the file ``path``, read as UTF-8 (RFC 8259).
+
+    A file that does not decode or parse (a ``ValueError``: a
+    ``UnicodeDecodeError``, a ``JSONDecodeError``, or an integer past
+    Python's digit limit) or that nests too deeply for the parser's
+    recursion is reported as not valid JSON.
+    """
     try:
         with open(path, encoding="utf-8") as handle:
             return json.load(handle)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -44,23 +44,24 @@ class Translation:
     name must be one model.
 
     Two translations are equal when their models, grammar maps and
-    matrices are.  Each (basic type, adjoint parity) matrix and each word
-    type's image are prepared on first use and kept with the translation;
-    they take no part in equality or ``repr``.
+    matrices are.  The read-only right-hand matrix of each (basic type,
+    adjoint parity) is prepared when the translation is made, and each
+    word type's image on first use; both are kept with the translation and
+    take no part in equality or ``repr``.
     """
 
     source_model: LanguageModel
     target_model: LanguageModel
     j: Mapping[str, PregroupType]
     alpha: Mapping[str, np.ndarray]
-    # (base, z % 2) -> (right-hand matrix, image axes), see _factor
-    _factors: dict = field(default_factory=dict, init=False, repr=False)
+    # (base, z % 2) -> (right-hand matrix, image axes), see alpha_component
+    _factors: Mapping = field(init=False, repr=False)
     # word type -> its image, see _word_image
     _images: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         _same_model(self.source_model, self.target_model)
-        frozen_j, frozen_alpha = {}, {}
+        frozen_j, frozen_alpha, factors = {}, {}, {}
         for base in self.source_model.dims:
             if base not in self.j:
                 raise UnknownBasicTypeError(
@@ -69,8 +70,8 @@ class Translation:
             if base not in self.alpha:
                 raise UnknownBasicTypeError(f"alpha has no matrix for basic type {base!r}")
             frozen_j[base] = self.j[base]
-            rows = math.prod(space_shape(self.target_model, frozen_j[base]))
-            cols = self.source_model.dim(base)
+            image = space_shape(self.target_model, frozen_j[base])
+            rows, cols = math.prod(image), self.source_model.dim(base)
             matrix = np.asarray(self.alpha[base], dtype=float)
             if matrix.shape != (rows, cols):
                 raise TypeMismatchError(
@@ -79,8 +80,19 @@ class Translation:
             matrix = matrix.copy()
             matrix.flags.writeable = False
             frozen_alpha[base] = matrix
+            # alpha's rows unflattened to the image block of base, axes (*image, cols)
+            block = matrix.reshape(*image, cols)
+            for parity in (0, 1):
+                # the right-hand matrix of np.tensordot(array, block, axes=([0], [-1])),
+                # built as tensordot builds it, so a product with it has tensordot's bits
+                right = block.transpose(len(image), *range(len(image))).reshape(cols, rows)
+                right.flags.writeable = False
+                factors[base, parity] = (right, block.shape[:-1])
+                # an odd adjoint exponent reverses the image word, and so the block axes
+                block = block.transpose(*reversed(range(len(image))), len(image))
         object.__setattr__(self, "j", MappingProxyType(frozen_j))
         object.__setattr__(self, "alpha", MappingProxyType(frozen_alpha))
+        object.__setattr__(self, "_factors", MappingProxyType(factors))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Translation):
@@ -120,41 +132,6 @@ def j_apply(t: Translation, g: PregroupType) -> PregroupType:
     return PregroupType(tuple(x for s in g.simples for x in _image(t, s).simples))
 
 
-def _alpha_block(t: Translation, s: SimpleType) -> np.ndarray:
-    """``alpha[s.base]`` with its rows unflattened to the image block of
-    ``s``: shape ``(*image_block, dim(s.base))``.
-
-    An odd adjoint exponent reverses the image word, so the block axes
-    are reversed to match (a no-op for single-simple images).
-    """
-    word = _image(t, SimpleType(s.base))  # j[s.base], once _image has checked the base
-    matrix = t.alpha[s.base]
-    block = matrix.reshape(*space_shape(t.target_model, word), matrix.shape[1])
-    if s.z % 2:
-        block = block.transpose(*reversed(range(block.ndim - 1)), block.ndim - 1)
-    return block
-
-
-def _factor(t: Translation, s: SimpleType) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The right-hand matrix of ``np.tensordot(array, _alpha_block(t, s),
-    axes=([0], [-1]))`` and the image axes it leaves, made once per
-    (base, parity) of a translation and read-only.
-
-    The matrix is built as ``tensordot`` builds it, so a product with it
-    has ``tensordot``'s operands, shapes and memory layout, and its bits.
-    """
-    key = (s.base, s.z % 2)
-    factor = t._factors.get(key)
-    if factor is None:
-        block = _alpha_block(t, s)
-        image = block.shape[:-1]
-        matrix = block.transpose(block.ndim - 1, *range(block.ndim - 1))
-        matrix = matrix.reshape(block.shape[-1], math.prod(image))
-        matrix.flags.writeable = False
-        factor = t._factors[key] = (matrix, image)
-    return factor
-
-
 def alpha_component(t: Translation, g: PregroupType, array) -> np.ndarray:
     """Apply the component of alpha at type ``g`` to ``array``.
 
@@ -176,7 +153,10 @@ def alpha_component(t: Translation, g: PregroupType, array) -> np.ndarray:
     extra = array.ndim - n
     image_rank = 0
     for s in g.simples:
-        matrix, image = _factor(t, s)
+        try:
+            matrix, image = t._factors[s.base, s.z % 2]
+        except KeyError:
+            raise UnknownBasicTypeError(f"grammar map does not cover {s.base!r}") from None
         rest = array.shape[1:]
         operand = array.transpose(*range(1, array.ndim), 0)
         operand = operand.reshape(math.prod(rest), array.shape[0])
@@ -279,9 +259,9 @@ def compose_translations(t2: Translation, t1: Translation) -> Translation:
         )
     j = {b: j_apply(t2, t1.j[b]) for b in t1.j}
     alpha = {}
-    for b in t1.alpha:
-        block = _alpha_block(t1, SimpleType(b))
-        alpha[b] = alpha_component(t2, t1.j[b], block).reshape(-1, block.shape[-1])
+    for b, matrix in t1.alpha.items():
+        block = matrix.reshape(*t1._factors[b, 0][1], matrix.shape[1])  # axes (*image, cols)
+        alpha[b] = alpha_component(t2, t1.j[b], block).reshape(-1, matrix.shape[1])
     return Translation(t1.source_model, t2.target_model, j, alpha)
 
 

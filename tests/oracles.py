@@ -16,14 +16,13 @@ import numpy as np
 from discotrans import io
 from discotrans.dictionary import DictionaryEntry, _distances, _image_lexicon, _reduced_rows
 from discotrans.errors import ModelMismatchError, NoReductionError
-from discotrans.grammar import PregroupType, Reduction, reduce_search
+from discotrans.grammar import PregroupType, Reduction, SimpleType, reduce_search
 from discotrans.lexicon import Lexicon, Phrase, lex_phrase
 from discotrans.product_space import PSObject
 from discotrans.semantics import LanguageModel, _contract, apply_reduction, space_shape
 from discotrans.translation import (
     NaturalityReport,
     Translation,
-    _alpha_block,
     translate_object,
     translate_reduction,
 )
@@ -133,15 +132,29 @@ def alpha_matrix_by_kron(t: Translation, g: PregroupType) -> np.ndarray:
     return matrix
 
 
+def alpha_block(t: Translation, s: SimpleType) -> np.ndarray:
+    """``alpha[s.base]`` with its rows unflattened to the image block of
+    ``s``: shape ``(*image_block, dim(s.base))``, a view of ``alpha``.
+
+    An odd adjoint exponent reverses the image word, so the block axes
+    are reversed to match (a no-op for single-simple images).
+    """
+    matrix = t.alpha[s.base]
+    block = matrix.reshape(*space_shape(t.target_model, t.j[s.base]), matrix.shape[1])
+    if s.z % 2:
+        block = block.transpose(*reversed(range(block.ndim - 1)), block.ndim - 1)
+    return block
+
+
 def alpha_component_by_tensordot(t: Translation, g: PregroupType, array) -> np.ndarray:
     """The component of alpha at ``g`` applied to ``array`` by one
-    ``np.tensordot`` per simple type over its ``_alpha_block``, with no
+    ``np.tensordot`` per simple type over its ``alpha_block``, with no
     prepared matrix; trailing axes of ``array`` pass through."""
     array = np.asarray(array, dtype=float)
     extra = array.ndim - len(g)
     image_rank = 0
     for s in g.simples:
-        block = _alpha_block(t, s)
+        block = alpha_block(t, s)
         array = np.tensordot(array, block, axes=([0], [block.ndim - 1]))
         image_rank += block.ndim - 1
     return array.transpose(*range(extra, extra + image_rank), *range(extra))

@@ -150,7 +150,9 @@ def test_meaning_names_the_record_of_a_bad_type(files, capsys):
         capsys, "meaning", "--lex", str(path), "--phrase", "Rosie wears boots", "--to", "s"
     )
     assert (code, out) == (2, "")
-    assert err == "error: lexicon record 'wears' 'type': unknown basic type 'n_q'\n"
+    assert err == (
+        f"error: --lex {str(path)!r}: lexicon record 'wears' 'type': unknown basic type 'n_q'\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -173,7 +175,7 @@ def test_meaning_names_the_record_of_a_non_string_word_or_string_number(
     code, out, err = run(
         capsys, "meaning", "--lex", str(path), "--phrase", "Rosie wears boots", "--to", "s"
     )
-    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert (code, out, err) == (2, "", f"error: --lex {str(path)!r}: {message}\n")
 
 
 def test_meaning_of_plain_sentence(files, capsys):
@@ -360,6 +362,16 @@ def test_malformed_senses_name_the_option_and_the_value(files, capsys, command, 
 
 _AWARE, _BLIND = "{files}/aware.lex.json", "{files}/blind.lex.json"
 _COLLAPSE = "{files}/collapse.json"
+# each file option's document and the first field that a reader of it takes
+_FIRST_FIELD = {
+    "model": ("model", "name"),
+    "lex": ("lexicon", "model"),
+    "lex-a": ("lexicon", "model"),
+    "lex-b": ("lexicon", "model"),
+    "translation": ("translation", "source"),
+    "matrix": ("matrix", "matrix"),
+    "pairs": ("pairs", "pairs"),
+}
 
 
 @pytest.mark.parametrize("option, argv", [
@@ -375,15 +387,18 @@ _COLLAPSE = "{files}/collapse.json"
 @pytest.mark.parametrize("path, reason", [
     ("", "No such file or directory"),
     ("{files}", "Is a directory"),
+    # a document that declares its format and nothing else lacks its first field
+    ("{files}/format-only.json", "{0} is missing {1!r}"),
 ])
 def test_an_unreadable_file_names_the_option_and_the_path(
     files, capsys, option, argv, path, reason
 ):
+    (files / "format-only.json").write_text('{"format": 1}')
     # an empty path is not the current directory
     path = path.format(files=files)
     code, out, err = run(capsys, *(a.format(files=files) for a in argv), f"--{option}", path)
     assert (code, out) == (2, "")
-    assert err == f"error: --{option} {path!r}: {reason}\n"
+    assert err == f"error: --{option} {path!r}: {reason.format(*_FIRST_FIELD[option])}\n"
 
 
 def test_an_unreadable_model_reference_names_the_option_and_the_file(files, capsys):
@@ -401,7 +416,32 @@ def test_a_file_that_is_not_utf8_names_its_path(files, capsys):
     Path(path).write_bytes(b"\xff\xfe{\x00}\x00")
     code, out, err = run(capsys, "meaning", "--lex", path, "--phrase", "Rosie", "--to", "n_s")
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: {path} is not valid JSON: ") and err.count("\n") == 1
+    assert err.startswith(f"error: --lex {path!r}: {path} is not valid JSON: ")
+    assert err.count("\n") == 1
+
+
+def test_a_file_nested_too_deeply_names_the_option_and_its_path(files, capsys):
+    # json.load raises RecursionError, which is not the reduction search's
+    path = str(files / "deep.lex.json")
+    Path(path).write_text('{"format": 1, "model": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code, out, err = run(capsys, "meaning", "--lex", path, "--phrase", "Rosie", "--to", "n_s")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: --lex {path!r}: {path} is not valid JSON: ")
+    assert err.count("\n") == 1 and "too long" not in err
+
+
+def test_a_phrase_past_numpy_axis_limit_is_input_error(tmp_path, capsys):
+    # 81 simple types: one tensor axis each, past numpy 2's 64 and numpy 1's 32
+    model = LanguageModel("m", {"n": 1})
+    ones = {g: PSObject(make_tensor(model, parse_type(g), [1.0])) for g in ("n n^l", "n")}
+    lex = Lexicon(model, {"a": (ones["n n^l"],), "b": (ones["n"],)})
+    io.save_doc(io.lexicon_to_doc(lex), tmp_path / "long.lex.json")
+    phrase = " ".join(["a"] * 40 + ["b"])
+    code, out, err = run(
+        capsys, "meaning", "--lex", str(tmp_path / "long.lex.json"), "--phrase", phrase, "--to", "n"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_meaning_output_reloads(files, capsys):
@@ -582,10 +622,11 @@ def test_underdetermined_fit_warns_on_one_line(tmp_path, capsys):
     ],
 )
 def test_fit_on_mismatched_vectors_is_input_error(tmp_path, capsys, pairs, message):
-    io.save_doc({"format": 1, "pairs": pairs}, tmp_path / "pairs.json")
-    code, out, err = run(capsys, "fit", "--pairs", str(tmp_path / "pairs.json"))
+    path = str(tmp_path / "pairs.json")
+    io.save_doc({"format": 1, "pairs": pairs}, path)
+    code, out, err = run(capsys, "fit", "--pairs", path)
     assert (code, out) == (2, "")
-    assert err == f"error: pairs document: {message}\n"
+    assert err == f"error: --pairs {path!r}: pairs document: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -597,9 +638,10 @@ def test_fit_on_mismatched_vectors_is_input_error(tmp_path, capsys, pairs, messa
     ids=["no-pairs", "matrix-source"],
 )
 def test_fit_on_pairs_that_fit_alpha_refuses_is_input_error(tmp_path, capsys, pairs, message):
-    io.save_doc({"format": 1, "pairs": pairs}, tmp_path / "pairs.json")
-    code, out, err = run(capsys, "fit", "--pairs", str(tmp_path / "pairs.json"))
-    assert (code, out, err) == (2, "", f"error: pairs document: {message}\n")
+    path = str(tmp_path / "pairs.json")
+    io.save_doc({"format": 1, "pairs": pairs}, path)
+    code, out, err = run(capsys, "fit", "--pairs", path)
+    assert (code, out, err) == (2, "", f"error: --pairs {path!r}: pairs document: {message}\n")
 
 
 def test_unitary_fit_of_a_non_square_matrix_is_input_error(tmp_path, capsys):
@@ -1026,7 +1068,8 @@ def test_non_integer_dimension_names_the_model_field(files, capsys, dim):
     code, out, err = run(capsys, "meaning", "--lex", str(path), "--phrase", "Rosie", "--to", "n_s")
     assert (code, out) == (2, "")
     assert err == (
-        f"error: model 'basic_types': dimensions must be positive integers, but 's' has {dim!r}\n"
+        f"error: --lex {str(path)!r}: "
+        f"model 'basic_types': dimensions must be positive integers, but 's' has {dim!r}\n"
     )
 
 
@@ -1050,7 +1093,8 @@ def test_lexicon_with_wrong_length_data_is_input_error(files, capsys):
     assert (code, out) == (2, "")
     size = len(record["data"]) - 1
     assert err == (
-        f"error: lexicon record {record['word']!r} 'data': type '{record['type']}' "
+        f"error: --lex {str(path)!r}: "
+        f"lexicon record {record['word']!r} 'data': type '{record['type']}' "
         f"in model {doc['model']['name']!r} needs {size} entries, got {size + 1}\n"
     )
 

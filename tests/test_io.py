@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -619,7 +620,7 @@ def _both_types_null(doc):
     ("dictionary", lambda doc: doc["entries"][0].update(distance="0"),
      "dictionary entry entries[0] 'distance' must be a JSON number, not a string"),
     ("dictionary", lambda doc: doc["entries"][0].update(distance=float("nan")),
-     "dictionary entry entries[0] 'distance' must hold finite numbers only"),
+     "dictionary entry entries[0] 'distance' must be a JSON number, not NaN"),
 ])
 def test_a_field_fault_names_its_place_and_the_kind_found(reader, change, message):
     docs, read = _READERS[reader]
@@ -650,6 +651,57 @@ def test_a_file_that_is_not_utf8_is_named(load, tmp_path):
     with pytest.raises(FormatError) as caught:
         load(path)
     assert str(caught.value).startswith(f"{path} is not valid JSON: 'utf-8' codec can't decode")
+
+
+@pytest.mark.parametrize("text, found", [
+    ("NaN", "NaN"),
+    ("Infinity", "Infinity"),
+    ("-Infinity", "-Infinity"),
+    ("1e999", "Infinity"),  # json reads a number past float's range as inf
+    ("true", "a boolean"),
+    ("1" + "0" * 400, "an integer too large for a float"),
+])
+def test_a_distance_that_no_float_holds_finitely_is_refused(text, found):
+    entries = [doc["entries"][0] for doc in _READERS["dictionary"][0][:2]]
+    doc = json.loads(json.dumps({"format": 1, "entries": entries}))
+    doc["entries"][1]["distance"] = "DISTANCE"
+    doc = json.loads(json.dumps(doc).replace('"DISTANCE"', text))
+    with pytest.raises(FormatError) as caught:
+        io.dictionary_from_doc(doc)
+    assert str(caught.value) == (
+        f"dictionary entry entries[1] 'distance' must be a JSON number, not {found}"
+    )
+
+
+@pytest.mark.parametrize("text, distance", [
+    ("0", 0.0), ("1e308", 1e308), ("1" + "0" * 300, 1e300), ("-2.5", -2.5),
+])
+def test_a_distance_that_a_float_holds_loads_as_that_float(text, distance):
+    doc = json.loads(json.dumps(_READERS["dictionary"][0][0]))
+    doc["entries"][0]["distance"] = "DISTANCE"
+    doc = json.loads(json.dumps(doc).replace('"DISTANCE"', text))
+    (entry,) = io.dictionary_from_doc(doc)
+    assert type(entry.distance) is float and entry.distance == distance
+
+
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.parametrize("text", [
+    # json.load raises a RecursionError on deep nesting
+    '{"format": 1, "model": ' + "[" * 100_000 + "]" * 100_000 + ', "words": []}',
+    # and a plain ValueError, not a JSONDecodeError, on an integer past Python's digit limit
+    pytest.param(
+        '{"format": 1, "model": ' + "1" * (_DIGIT_LIMIT + 1) + ', "words": []}',
+        marks=pytest.mark.skipif(not _DIGIT_LIMIT, reason="no integer digit limit"),
+    ),
+], ids=["deep", "long-integer"])
+def test_a_file_that_json_cannot_read_is_not_valid_json(tmp_path, text):
+    path = tmp_path / "lex.json"
+    path.write_text(text)
+    with pytest.raises(FormatError) as caught:
+        io.load_lexicon(path)
+    assert str(caught.value).startswith(f"{path} is not valid JSON: ")
 
 
 def test_a_utf8_file_is_read_as_utf8(tmp_path):

@@ -23,7 +23,6 @@ from discotrans.product_space import PSObject, ps_morphism, ps_tensor
 from discotrans.semantics import LanguageModel, apply_reduction, make_tensor, space_shape
 from discotrans.translation import (
     Translation,
-    _alpha_block,
     alpha_component,
     check_naturality,
     compose_translations,
@@ -40,6 +39,7 @@ from discotrans.translation import (
 from conftest import random_word
 from oracles import (
     all_reductions,
+    alpha_block,
     alpha_component_by_tensordot,
     alpha_matrix_by_kron,
     image_lexicon,
@@ -263,7 +263,7 @@ def test_alpha_component_is_the_tensordot_chain_bit_for_bit(seed, dims, word, tr
     g = PregroupType(tuple(SimpleType(b, z) for b, z in word))
     array = rng.standard_normal((*space_shape(t.source_model, g), *trailing))
     expected = alpha_component_by_tensordot(t, g, array)
-    # the first call prepares the matrices, the second reads them back
+    # a second call reads the same prepared matrices again
     for _ in range(2):
         assert _bits(alpha_component(t, g, array)) == _bits(expected)
 
@@ -278,7 +278,7 @@ def test_composite_alpha_is_the_tensordot_chain_bit_for_bit(seed, dims):
     t2 = _random_translation(rng, models[1], models[2])
     composite = compose_translations(t2, t1)
     for base, matrix in t1.alpha.items():
-        block = _alpha_block(t1, SimpleType(base))
+        block = alpha_block(t1, SimpleType(base))
         expected = alpha_component_by_tensordot(t2, t1.j[base], block)
         assert _bits(composite.alpha[base]) == _bits(expected.reshape(-1, matrix.shape[1]))
 
@@ -333,10 +333,12 @@ def test_using_a_translation_changes_neither_its_equality_nor_its_repr():
     used, twin = _small_translation(), _small_translation()
     source = used.source_model
     before = repr(used)
+    # the matrices are prepared when a translation is made, word images on use
+    assert set(twin._factors) == {(b, z) for b in "ns" for z in (0, 1)} and not twin._images
     verb = PSObject(make_tensor(source, parse_type("n^r s n^l"), np.arange(8.0)))
     translate_lexicon(used, Lexicon(source, {"sees": (verb,)}))
-    assert used._factors and used._images
-    assert used == twin and not twin._factors
+    assert used._images and not twin._images
+    assert used == twin
     assert repr(used) == before == repr(twin)
 
 
@@ -353,9 +355,9 @@ def test_a_replaced_translation_prepares_its_own_matrices(collapse, wardrobe):
 def test_prepared_matrices_are_read_only(rng):
     t = _two_simple_translation(rng)
     # both parities of each base; b^l's matrix is a reordered copy of alpha's rows
-    g = parse_type("n n^r b b^l y y^r s s^l")
-    alpha_component(t, g, rng.standard_normal(space_shape(t.source_model, g)))
     assert set(t._factors) == {(b, z) for b in "nybs" for z in (0, 1)}
+    with pytest.raises(TypeError):
+        t._factors["n", 0] = t._factors["n", 1]
     for matrix, _ in t._factors.values():
         with pytest.raises(ValueError):
             matrix[0, 0] = 0.0
