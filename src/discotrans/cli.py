@@ -15,6 +15,7 @@ the library emits, such as an underdetermined fit, goes to stderr as one
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -144,19 +145,14 @@ def cmd_dict(args) -> int:
     type_filter = None
     if args.target_type is not None:
         type_filter = parse_type(args.target_type, lex_b.model.basics)
-    options = {
-        "max_source_len": ("--max-source-len", args.max_source_len),
-        "max_target_len": ("--max-target-len", args.max_target_len),
-        "threshold": ("--k", args.k),
-        "max_pairs": ("--max-pairs", args.max_pairs),
-    }
-    for name, (option, value) in options.items():
-        # each value alone, so the query's own rule is reported with its option
+    query = DictionaryQuery(target_type_filter=type_filter)
+    # one field at a time, so the query's own rule is reported with its option
+    for option, field in (("--max-source-len", "max_source_len"),
+                          ("--max-target-len", "max_target_len"),
+                          ("--k", "threshold"), ("--max-pairs", "max_pairs")):
+        value = getattr(args, field)
         with _option(option, value):
-            DictionaryQuery(**{name: value})
-    query = DictionaryQuery(
-        target_type_filter=type_filter, **{name: value for name, (_, value) in options.items()}
-    )
+            query = dataclasses.replace(query, **{field: value})
     table = build_dictionary(lex_a, lex_b, t, query)
     if args.json:
         print(io.dictionary_to_json(table))
@@ -179,24 +175,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="model file whose basic types constrain parsing")
     p.set_defaults(func=cmd_parse)
 
-    p = sub.add_parser("meaning", help="reduce a phrase's meaning onto a type")
-    p.add_argument("--lex", required=True, help="lexicon file")
-    p.add_argument("--phrase", required=True)
-    p.add_argument("--to", dest="target_type", required=True, metavar="TYPE")
-    p.add_argument("--senses", help="comma-separated per-word sense indices")
-    p.add_argument("--normalize", action="store_true",
-                   help="collapse a nonzero sentence value to 1")
+    # the phrase options, one declaration for meaning and translate
+    phrase = argparse.ArgumentParser(add_help=False)
+    phrase.add_argument("--lex", required=True, help="lexicon file (translate: the source side's)")
+    phrase.add_argument("--phrase", required=True, help="the words, separated by spaces")
+    phrase.add_argument("--to", dest="target_type", required=True, metavar="TYPE",
+                        help="type to reduce onto (translate: a target-model type)")
+    phrase.add_argument("--senses", help="comma-separated per-word sense indices into --lex")
+    phrase.add_argument("--normalize", action="store_true",
+                        help="collapse a nonzero sentence value to 1")
+
+    p = sub.add_parser("meaning", parents=[phrase], help="reduce a phrase's meaning onto a type")
     p.set_defaults(func=cmd_meaning, translation=None)
 
-    p = sub.add_parser("translate", help="translate a phrase, then compute its meaning")
+    p = sub.add_parser("translate", parents=[phrase],
+                       help="translate a phrase, then compute its meaning")
     p.add_argument("--translation", required=True, help="translation file")
-    p.add_argument("--lex", required=True, help="source-side lexicon file")
-    p.add_argument("--phrase", required=True)
-    p.add_argument("--to", dest="target_type", required=True,
-                   metavar="TYPE", help="target type in the target grammar")
-    p.add_argument("--senses",
-                   help="comma-separated per-word sense indices into the source lexicon")
-    p.add_argument("--normalize", action="store_true")
     p.set_defaults(func=cmd_meaning)
 
     p = sub.add_parser("check", help="verify a translation commutes with a reduction")
@@ -220,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lex-a", required=True, help="source lexicon file")
     p.add_argument("--lex-b", required=True, help="target lexicon file")
     p.add_argument("--translation", required=True)
-    p.add_argument("--k", type=float, default=None, help="distance threshold")
+    p.add_argument("--k", dest="threshold", type=float, metavar="K", help="distance threshold")
     p.add_argument("--max-source-len", type=int, default=DictionaryQuery.max_source_len)
     p.add_argument("--max-target-len", type=int, default=DictionaryQuery.max_target_len)
     p.add_argument("--to", dest="target_type", default=None, metavar="TYPE",

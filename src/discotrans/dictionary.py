@@ -109,6 +109,14 @@ class DictionaryQuery:
     max_pairs: int = 100_000
 
     def __post_init__(self) -> None:
+        # as LanguageModel's dimensions: True is a Python int, and a numpy
+        # integer is not; each cap is kept as a Python int, whose bit_length
+        # the budget check takes
+        for name in ("max_source_len", "max_target_len", "max_pairs"):
+            cap = getattr(self, name)
+            if not isinstance(cap, (int, np.integer)) or isinstance(cap, bool):
+                raise ValueError(f"{name} must be an integer, got {cap!r}")
+            object.__setattr__(self, name, int(cap))
         if self.max_source_len < 1 or self.max_target_len < 1:
             raise ValueError("phrase length caps must be at least 1")
         if self.max_pairs < 0:

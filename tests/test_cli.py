@@ -257,6 +257,19 @@ def test_translated_sentences_collapse(files, capsys):
         assert json.loads(out)["data"] == [0.0]
 
 
+def test_translate_takes_every_meaning_option():
+    # one argv with all the phrase options parses alike under both commands,
+    # so no phrase option can reach one of the two only
+    phrase = ["--lex", "F.lex.json", "--phrase", "Rosie wears boots", "--to", "s",
+              "--senses", "0,1,0", "--normalize"]
+    parser = cli.build_parser()
+    meaning = vars(parser.parse_args(["meaning", *phrase]))
+    translate = vars(parser.parse_args(["translate", *phrase, "--translation", "T.json"]))
+    assert (meaning.pop("command"), translate.pop("command")) == ("meaning", "translate")
+    assert (meaning.pop("translation"), translate.pop("translation")) == (None, "T.json")
+    assert meaning == translate
+
+
 @pytest.mark.parametrize("senses", [(0, 1, 0), (0, 3, 0)])
 def test_translate_senses_index_the_source_lexicon(files, capsys, senses):
     # "wears" has four source senses and one merged image: the pin still

@@ -254,6 +254,24 @@ def test_length_caps_must_be_at_least_one(cap):
     assert str(caught.value) == "phrase length caps must be at least 1"
 
 
+@pytest.mark.parametrize("value", [2.0, 1.5, True, "3"])
+@pytest.mark.parametrize("cap", ["max_source_len", "max_target_len", "max_pairs"])
+def test_caps_must_be_integers(cap, value):
+    with pytest.raises(ValueError) as caught:
+        DictionaryQuery(**{cap: value})
+    assert str(caught.value) == f"{cap} must be an integer, got {value!r}"
+
+
+def test_a_numpy_integer_cap_builds_the_demo_dictionary(collapse, wardrobe):
+    pushed = translate_lexicon(collapse, wardrobe)
+    query = DictionaryQuery(max_source_len=2, max_target_len=2, max_pairs=np.int64(10**6))
+    assert type(query.max_pairs) is int
+    expected = DictionaryQuery(max_source_len=2, max_target_len=2, max_pairs=10**6)
+    assert list(build_dictionary(wardrobe, pushed, collapse, query)) == list(
+        build_dictionary(wardrobe, pushed, collapse, expected)
+    )
+
+
 def test_model_mismatch_rejected(collapse, wardrobe):
     lex_a, _, _ = _mini_pair()
     with pytest.raises(ModelMismatchError):
