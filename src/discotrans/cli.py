@@ -261,10 +261,6 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except RecursionError:
-        # the reduction search's; a file nested too deeply is not valid JSON (io._load_json)
-        print("error: a type is too long to search for reductions", file=sys.stderr)
-        return EXIT_INPUT
     except Exception as exc:
         # a fault of the program, not of the input: still one line, no traceback
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

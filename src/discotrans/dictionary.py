@@ -23,6 +23,7 @@ phrase, reduction, distance) and ordered by one ``np.lexsort``.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -121,11 +122,17 @@ class DictionaryQuery:
             raise ValueError("phrase length caps must be at least 1")
         if self.max_pairs < 0:
             raise ValueError(f"max_pairs must be at least 0, got {self.max_pairs}")
+        f = self.target_type_filter
+        if f is not None and not isinstance(f, PregroupType):
+            raise ValueError(f"target_type_filter must be a PregroupType or None, got {f!r}")
         if self.threshold is not None:
             _check_threshold(self.threshold)
 
 
 def _check_threshold(k: float) -> None:
+    # numpy floats are real numbers; True is a Python int
+    if not isinstance(k, numbers.Real) or isinstance(k, bool):
+        raise ValueError(f"threshold must be a real number, got {k!r}")
     if not k >= 0:  # NaN fails every comparison
         raise ValueError("threshold must be non-negative")
 

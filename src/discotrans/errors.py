@@ -46,7 +46,11 @@ class RankDeficientError(DiscotransError):
 
 
 class BudgetExceededError(DiscotransError):
-    """A dictionary build would enumerate more phrase pairs than the configured cap."""
+    """An input needs more work than the library will do.
+
+    A dictionary build that would enumerate more phrase pairs than its cap,
+    or a type too long for the reduction search.
+    """
 
 
 class FormatError(DiscotransError):

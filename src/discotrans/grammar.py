@@ -20,12 +20,8 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Collection, Iterable, Iterator, NamedTuple
 
-from .errors import (
-    InvalidReductionError,
-    TypeMismatchError,
-    TypeSyntaxError,
-    UnknownBasicTypeError,
-)
+from .errors import BudgetExceededError, InvalidReductionError, TypeMismatchError
+from .errors import TypeSyntaxError, UnknownBasicTypeError
 
 # Basic types are bare identifier strings; models declare the generator set.
 BasicType = str
@@ -272,15 +268,20 @@ def reduce_search(
 
     Returns up to ``max_results`` distinct reductions (all of them when
     None); an empty list when no reduction exists.  Each call builds its
-    own chart, so its outcome depends on its arguments alone.
+    own chart, so no search depends on an earlier one.  The chart recurses
+    about once per simple type, so a type too long for Python's recursion
+    limit is refused with ``BudgetExceededError``.
     """
     if max_results is not None and max_results < 1:
         raise ValueError(f"the number of reductions to list must be at least 1, got {max_results}")
     chart = _Chart(source.simples, target.simples)
-    if not chart.reduces(0, len(source), 0):
-        return []
-    walk = chart.walk(0, len(source), 0)
-    return [Reduction(source, cups) for cups in islice(walk, max_results)]
+    try:
+        if not chart.reduces(0, len(source), 0):
+            return []
+        walk = chart.walk(0, len(source), 0)
+        return [Reduction(source, cups) for cups in islice(walk, max_results)]
+    except RecursionError:
+        raise BudgetExceededError("a type is too long to search for reductions") from None
 
 
 def free_group_image(g: PregroupType) -> tuple[tuple[BasicType, int], ...]:

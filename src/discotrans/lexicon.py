@@ -71,6 +71,8 @@ class Phrase:
     sense_choice: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        if isinstance(self.words, str) or isinstance(self.sense_choice, str):
+            raise ValueError("words and sense_choice are sequences, not strings (see Phrase.parse)")
         object.__setattr__(self, "words", tuple(self.words))
         if not self.words:
             raise ValueError("a phrase needs at least one word")

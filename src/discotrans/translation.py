@@ -12,6 +12,7 @@ fitting a matrix from example vector pairs.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -303,6 +304,8 @@ def check_naturality(
     off-diagonal ``|G|`` and every other cup its largest ``|G|``.  No
     cups (or ``G = I``, an identity translation) give exactly 0.
     """
+    if not isinstance(tolerance, numbers.Real) or isinstance(tolerance, bool):
+        raise ValueError(f"tolerance must be a real number, got {tolerance!r}")
     if not 0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be a finite non-negative number, got {tolerance}")
     j_apply(t, r.source)  # raises UnknownBasicTypeError on an uncovered basic type

@@ -357,6 +357,33 @@ def test_threshold_rule_has_one_wording(caller, k):
     assert str(caught.value) == "threshold must be non-negative"
 
 
+@pytest.mark.parametrize("k", [True, False, "0.5"])
+@pytest.mark.parametrize("caller", ["DictionaryQuery", "threshold_relation"])
+def test_threshold_must_be_a_real_number(caller, k):
+    # True would read as k = 1, and a string would fail a comparison
+    with pytest.raises(ValueError) as caught:
+        if caller == "DictionaryQuery":
+            DictionaryQuery(threshold=k)
+        else:
+            threshold_relation([], k)
+    assert str(caught.value) == f"threshold must be a real number, got {k!r}"
+
+
+@pytest.mark.parametrize("k", [np.float64(0.5), np.float32(0.5), 1, 0.5])
+def test_a_real_threshold_is_accepted(k):
+    assert DictionaryQuery(threshold=k).threshold == k
+    assert [e.distance for e in threshold_relation(_fake_entries([0.0, 0.5, 2.0]), k)] == [0.0, 0.5]
+
+
+@pytest.mark.parametrize("value", ["s", ("s",), 1])
+def test_type_filter_must_be_a_pregroup_type(value):
+    with pytest.raises(ValueError) as caught:
+        DictionaryQuery(target_type_filter=value)
+    assert str(caught.value) == (
+        f"target_type_filter must be a PregroupType or None, got {value!r}"
+    )
+
+
 # -- type buckets -------------------------------------------------------------------
 
 _WORD_TYPES = ("x", "x x", "x^r s", "x x^l", "x^r s x^l", "s")

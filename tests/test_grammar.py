@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from discotrans.errors import InvalidReductionError, TypeSyntaxError, UnknownBasicTypeError
+from discotrans.errors import BudgetExceededError, InvalidReductionError, TypeSyntaxError
+from discotrans.errors import UnknownBasicTypeError
 from discotrans.grammar import (
     UNIT,
     PregroupType,
@@ -172,6 +173,15 @@ def test_stacked_family_reduction_count(k):
     assert len(found) == comb(2 * k, k) // 2
     if k <= 3:
         assert {r.cups for r in found} == reductions_by_elimination(_stacked_word(k), UNIT)
+
+
+def test_a_type_too_long_to_search_is_a_budget_error():
+    # the chart recurses about once per simple type: 2,001 of them pass
+    # Python's recursion limit, which the search reports as its own
+    word = parse_type("n n^r " * 1000 + "s")
+    with pytest.raises(BudgetExceededError) as caught:
+        reduce_search(word, parse_type("s"))
+    assert str(caught.value) == "a type is too long to search for reductions"
 
 
 def test_first_reduction_of_long_word_is_lazy():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from discotrans import demo
 from discotrans.errors import (
+    BudgetExceededError,
     NoReductionError,
     SenseIndexError,
     UnknownWordError,
@@ -29,6 +30,29 @@ def test_phrase_needs_words():
 def test_phrase_sense_length_checked():
     with pytest.raises(SenseIndexError):
         Phrase(("a", "b"), (0,))
+
+
+@pytest.mark.parametrize("field", ["words", "sense_choice"])
+def test_phrase_refuses_a_string(field):
+    # a string is a sequence of one-character words
+    args = {"words": ("Rosie", "wears", "boots"), field: "Rosie wears boots"}
+    with pytest.raises(ValueError) as caught:
+        Phrase(**args)
+    assert str(caught.value) == (
+        "words and sense_choice are sequences, not strings (see Phrase.parse)"
+    )
+
+
+def test_phrase_meaning_of_a_type_too_long_to_search_is_a_budget_error():
+    # 600 words of type n n^r then s: 1,201 simple types
+    model = LanguageModel("m", {"n": 1, "s": 1})
+    lex = Lexicon(model, {
+        "a": (PSObject(make_tensor(model, parse_type("n n^r"), [1.0])),),
+        "b": (PSObject(make_tensor(model, parse_type("s"), [1.0])),),
+    })
+    with pytest.raises(BudgetExceededError) as caught:
+        phrase_meaning(lex, Phrase(("a",) * 600 + ("b",)), parse_type("s"))
+    assert str(caught.value) == "a type is too long to search for reductions"
 
 
 def test_entries_must_match_model_shapes():

@@ -539,6 +539,12 @@ def test_uncovered_basic_type_is_unknown(collapse):
         check_naturality(collapse, r)
 
 
+def test_alpha_component_refuses_an_array_of_too_small_rank(collapse):
+    with pytest.raises(TypeMismatchError) as caught:
+        alpha_component(collapse, parse_type("n_s n_s"), np.ones(4))
+    assert str(caught.value) == "array of rank 1 is too small for type 'n_s n_s'"
+
+
 def test_alpha_component_on_an_uncovered_base_names_the_grammar_map(collapse):
     with pytest.raises(UnknownBasicTypeError) as caught:
         alpha_component(collapse, parse_type("q"), np.ones(2))
@@ -845,6 +851,22 @@ def test_naturality_check_rejects_a_nan_or_negative_tolerance(collapse, toleranc
         check_naturality(collapse, r, tolerance)
 
 
+@pytest.mark.parametrize("tolerance", [True, False, "1", None])
+def test_naturality_tolerance_must_be_a_real_number(collapse, tolerance):
+    # True would pass a residual of 1 as a tolerance of 1
+    r = Reduction(parse_type("n_s n_s^r s"), [(0, 1)])
+    with pytest.raises(ValueError) as caught:
+        check_naturality(collapse, r, tolerance)
+    assert str(caught.value) == f"tolerance must be a real number, got {tolerance!r}"
+
+
+@pytest.mark.parametrize("tolerance", [np.float64(1e-9), np.float32(1e-9), 0])
+def test_naturality_takes_a_numpy_or_integer_tolerance(collapse, tolerance):
+    r = Reduction(parse_type("n_s n_s^r s"), [(0, 1)])
+    report = check_naturality(collapse, r, tolerance)
+    assert (report.passed, report.tolerance) == (False, tolerance)
+
+
 # -- nearest orthogonal ----------------------------------------------------------------
 
 def test_identity_is_its_own_projection():
@@ -967,6 +989,13 @@ def test_solver_handles_consistent_constraints():
     )
     assert str(images["a"]) == "a2"
     assert str(images["n"]) == "n2"
+
+
+def test_solver_accepts_a_constraint_that_known_images_already_meet():
+    images = solve_generator_map(
+        [(parse_type("n"), parse_type("n2")), (parse_type("n n"), parse_type("n2 n2"))]
+    )
+    assert images == {"n": parse_type("n2")}
 
 
 def test_solver_uses_later_constraints_to_unblock():
