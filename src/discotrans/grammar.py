@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Collection, Iterable, Iterator, NamedTuple
 
+import numpy as np
+
 from .errors import BudgetExceededError, InvalidReductionError, TypeMismatchError
 from .errors import TypeSyntaxError, UnknownBasicTypeError
 
@@ -272,8 +274,16 @@ def reduce_search(
     about once per simple type, so a type too long for Python's recursion
     limit is refused with ``BudgetExceededError``.
     """
-    if max_results is not None and max_results < 1:
-        raise ValueError(f"the number of reductions to list must be at least 1, got {max_results}")
+    if max_results is not None:
+        # as DictionaryQuery's caps: True is a Python int, and a numpy integer is not
+        if not isinstance(max_results, (int, np.integer)) or isinstance(max_results, bool):
+            raise ValueError(
+                f"the number of reductions to list must be an integer, got {max_results!r}"
+            )
+        if max_results < 1:
+            raise ValueError(
+                f"the number of reductions to list must be at least 1, got {max_results}"
+            )
     chart = _Chart(source.simples, target.simples)
     try:
         if not chart.reduces(0, len(source), 0):

@@ -18,6 +18,8 @@ from itertools import product
 from operator import matmul
 from types import MappingProxyType
 
+import numpy as np
+
 from .errors import NoReductionError, SenseIndexError, UnknownWordError
 from .grammar import PregroupType, Reduction, reduce_search
 from .product_space import PSObject, ps_tensor
@@ -96,6 +98,10 @@ def _resolve_senses(lex: Lexicon, p: Phrase) -> tuple[int, ...]:
     choice = p.sense_choice or (0,) * len(p.words)
     for word, idx in zip(p.words, choice):
         senses = lex.senses(word)
+        # as DictionaryQuery's caps; checked here, not in Phrase, which dict
+        # makes for every kept row
+        if not isinstance(idx, (int, np.integer)) or isinstance(idx, bool):
+            raise SenseIndexError(f"sense {idx!r} for {word!r} is not an integer")
         if not 0 <= idx < len(senses):
             raise SenseIndexError(
                 f"sense {idx} out of range for {word!r} ({len(senses)} entries)"

@@ -46,9 +46,9 @@ class Translation:
 
     Two translations are equal when their models, grammar maps and
     matrices are.  The read-only right-hand matrix of each (basic type,
-    adjoint parity) is prepared when the translation is made, and each
-    word type's image on first use; both are kept with the translation and
-    take no part in equality or ``repr``.
+    adjoint parity) is prepared when the translation is made and kept
+    with it, taking no part in equality or ``repr``; using a translation
+    changes nothing in it.
     """
 
     source_model: LanguageModel
@@ -57,8 +57,6 @@ class Translation:
     alpha: Mapping[str, np.ndarray]
     # (base, z % 2) -> (right-hand matrix, image axes), see alpha_component
     _factors: Mapping = field(init=False, repr=False)
-    # word type -> its image, see _word_image
-    _images: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         _same_model(self.source_model, self.target_model)
@@ -168,18 +166,10 @@ def alpha_component(t: Translation, g: PregroupType, array) -> np.ndarray:
     return array.transpose(*range(extra, extra + image_rank), *range(extra))
 
 
-def _word_image(t: Translation, g: PregroupType) -> PregroupType:
-    """``j_apply(t, g)``, made once per word type of a translation."""
-    image = t._images.get(g)
-    if image is None:
-        image = t._images[g] = j_apply(t, g)
-    return image
-
-
 def translate_object(t: Translation, o: PSObject) -> PSObject:
     """Image of an object: its meaning pushed through alpha axis by axis."""
     image = alpha_component(t, o.type, o.meaning.array)
-    return PSObject(Tensor._adopt(_word_image(t, o.type), image))
+    return PSObject(Tensor._adopt(j_apply(t, o.type), image))
 
 
 def translate_reduction(t: Translation, r: Reduction) -> Reduction:
@@ -261,7 +251,8 @@ def compose_translations(t2: Translation, t1: Translation) -> Translation:
     j = {b: j_apply(t2, t1.j[b]) for b in t1.j}
     alpha = {}
     for b, matrix in t1.alpha.items():
-        block = matrix.reshape(*t1._factors[b, 0][1], matrix.shape[1])  # axes (*image, cols)
+        # axes (*image, cols)
+        block = matrix.reshape(*space_shape(t1.target_model, t1.j[b]), matrix.shape[1])
         alpha[b] = alpha_component(t2, t1.j[b], block).reshape(-1, matrix.shape[1])
     return Translation(t1.source_model, t2.target_model, j, alpha)
 

@@ -140,44 +140,6 @@ def test_parse_model_constrains_basics(files, tmp_path, capsys):
 
 # -- meaning and translate ------------------------------------------------------------
 
-def test_meaning_names_the_record_of_a_bad_type(files, capsys):
-    path = files / "aware.lex.json"
-    doc = json.loads(path.read_text())
-    record = next(r for r in doc["words"] if r["word"] == "wears")
-    record["type"] = "n_q"
-    io.save_doc(doc, path)
-    code, out, err = run(
-        capsys, "meaning", "--lex", str(path), "--phrase", "Rosie wears boots", "--to", "s"
-    )
-    assert (code, out) == (2, "")
-    assert err == (
-        f"error: --lex {str(path)!r}: lexicon record 'wears' 'type': unknown basic type 'n_q'\n"
-    )
-
-
-@pytest.mark.parametrize(
-    "field, value, message",
-    [
-        ("word", None, "lexicon record words[1] 'word' must be a JSON string, not null"),
-        ("data", "1.5", "lexicon record 'a_boot' 'data' must hold JSON numbers only"),
-    ],
-)
-def test_meaning_names_the_record_of_a_non_string_word_or_string_number(
-    files, capsys, field, value, message
-):
-    path = files / "aware.lex.json"
-    doc = json.loads(path.read_text())
-    if field == "word":
-        doc["words"][1]["word"] = value
-    else:
-        doc["words"][1]["data"][0] = value
-    io.save_doc(doc, path)
-    code, out, err = run(
-        capsys, "meaning", "--lex", str(path), "--phrase", "Rosie wears boots", "--to", "s"
-    )
-    assert (code, out, err) == (2, "", f"error: --lex {str(path)!r}: {message}\n")
-
-
 def test_meaning_of_plain_sentence(files, capsys):
     code, out, _ = run(
         capsys,
@@ -414,6 +376,43 @@ def test_an_unreadable_file_names_the_option_and_the_path(
     assert err == f"error: --{option} {path!r}: {reason.format(*_FIRST_FIELD[option])}\n"
 
 
+# a file option, the demo file it reads here and a command that reads it
+_FILE_OPTIONS = {
+    "lex": ("aware.lex.json", ["meaning", "--phrase", "Rosie wears boots", "--to", "s"]),
+    "lex-b": ("blind.lex.json", ["dict", "--lex-a", _AWARE, "--translation", _COLLAPSE]),
+    "translation": ("collapse.json", ["check", "--from", "n_s", "--to", "n"]),
+}
+
+
+def _wears(doc):
+    return next(r for r in doc["words"] if r["word"] == "wears")
+
+
+@pytest.mark.parametrize("option, change, message", [
+    ("lex", lambda doc: _wears(doc).update(type="n_q"),
+     "lexicon record 'wears' 'type': unknown basic type 'n_q'"),
+    ("lex", lambda doc: doc["words"][1].update(word=None),
+     "lexicon record words[1] 'word' must be a JSON string, not null"),
+    ("lex", lambda doc: doc["words"][1]["data"].__setitem__(0, "1.5"),
+     "lexicon record 'a_boot' 'data' must hold JSON numbers only"),
+    ("lex", lambda doc: doc["words"][1].pop("data"), "lexicon record words[1] is missing 'data'"),
+    # the same fault in the target lexicon names --lex-b, not --lex-a
+    ("lex-b", lambda doc: doc["words"][1].pop("data"), "lexicon record words[1] is missing 'data'"),
+    ("translation", lambda doc: doc["j"].update(n_s=["n"]),
+     "translation 'j' image of 'n_s' must be a JSON string, not an array"),
+], ids=["unknown-type", "null-word", "string-number", "no-data", "no-data-lex-b", "list-image"])
+def test_a_field_fault_names_the_option_the_file_and_the_place(
+    files, capsys, option, change, message
+):
+    name, argv = _FILE_OPTIONS[option]
+    path = str(files / name)
+    doc = json.loads(Path(path).read_text())
+    change(doc)
+    io.save_doc(doc, path)
+    code, out, err = run(capsys, *(a.format(files=files) for a in argv), f"--{option}", path)
+    assert (code, out, err) == (2, "", f"error: --{option} {path!r}: {message}\n")
+
+
 def test_an_unreadable_model_reference_names_the_option_and_the_file(files, capsys):
     doc = io.lexicon_to_doc(wardrobe_lexicon(), model_ref="missing.model.json")
     io.save_doc(doc, files / "referring.lex.json")
@@ -443,18 +442,24 @@ def test_a_file_nested_too_deeply_names_the_option_and_its_path(files, capsys):
     assert err.count("\n") == 1 and "too long" not in err
 
 
-def test_a_phrase_past_numpy_axis_limit_is_input_error(tmp_path, capsys):
+@pytest.mark.parametrize("a, b, count, message", [
     # 81 simple types: one tensor axis each, past numpy 2's 64 and numpy 1's 32
-    model = LanguageModel("m", {"n": 1})
-    ones = {g: PSObject(make_tensor(model, parse_type(g), [1.0])) for g in ("n n^l", "n")}
-    lex = Lexicon(model, {"a": (ones["n n^l"],), "b": (ones["n"],)})
+    ("n n^l", "n", 40, "error: "),
+    # 1,201 simple types: too many for the reduction search's recursion
+    ("n n^r", "s", 600, "error: a type is too long to search for reductions\n"),
+], ids=["numpy-axes", "search-depth"])
+def test_a_phrase_of_too_many_simple_types_is_input_error(tmp_path, capsys, a, b, count, message):
+    # a one-dimensional lexicon: "a" * count then "b" reduces onto b's type
+    model = LanguageModel("m", {"n": 1, "s": 1})
+    ones = {g: PSObject(make_tensor(model, parse_type(g), [1.0])) for g in (a, b)}
+    lex = Lexicon(model, {"a": (ones[a],), "b": (ones[b],)})
     io.save_doc(io.lexicon_to_doc(lex), tmp_path / "long.lex.json")
-    phrase = " ".join(["a"] * 40 + ["b"])
+    phrase = " ".join(["a"] * count + ["b"])
     code, out, err = run(
-        capsys, "meaning", "--lex", str(tmp_path / "long.lex.json"), "--phrase", phrase, "--to", "n"
+        capsys, "meaning", "--lex", str(tmp_path / "long.lex.json"), "--phrase", phrase, "--to", b
     )
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(message) and err.count("\n") == 1
 
 
 def test_meaning_output_reloads(files, capsys):
@@ -834,6 +839,7 @@ def test_dict_negative_max_pairs_is_input_error(files, capsys):
         ("--max-source-len", "0", "0", "phrase length caps must be at least 1"),
         ("--max-target-len", "0", "0", "phrase length caps must be at least 1"),
         ("--k", "nan", "nan", "threshold must be non-negative"),
+        ("--k", "-1", "-1.0", "threshold must be non-negative"),
         ("--tolerance", "-1", "-1.0", "tolerance must be a finite non-negative number, got -1.0"),
     ],
 )
@@ -964,6 +970,9 @@ def test_dict_json_is_the_library_document(dict_case, capsys):
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 0
     assert json.loads(out) == io.dictionary_to_doc(_library_table(argv, query))
+    # the library reads the document back: one entry per row the same query prints
+    _, rows, _ = run(capsys, *argv)
+    assert len(io.dictionary_from_doc(json.loads(out))) == rows.count("\n")
 
 
 def test_dict_rows_build_no_entry_objects(files, capsys, monkeypatch):
@@ -1186,27 +1195,24 @@ def test_out_of_memory_is_input_error(files, capsys, monkeypatch):
     assert err.startswith("error: out of memory")
 
 
-def test_conflicting_model_declarations_rejected(files, tmp_path, capsys):
-    # a second lexicon reusing the model name with other dimensions
-    from discotrans.grammar import parse_type
-    from discotrans.lexicon import Lexicon
-    from discotrans.product_space import PSObject
-    from discotrans.semantics import LanguageModel, make_tensor
-
+@pytest.mark.parametrize("lex_b", ["impostor.lex.json", "aware.lex.json"])
+def test_conflicting_model_declarations_rejected(files, capsys, lex_b):
+    # a second lexicon reusing the source model's name with other dimensions,
+    # and the source lexicon itself: --lex-b's model is not the translation's
+    # target, whatever its name
     impostor = LanguageModel("number-aware", {"n_s": 2, "n_p": 2, "n": 2, "s": 1})
     lex = Lexicon(
         impostor,
         {"w": (PSObject(make_tensor(impostor, parse_type("n_s"), [1, 0])),)},
     )
-    io.save_doc(io.lexicon_to_doc(lex), tmp_path / "impostor.lex.json")
-    code, _, err = run(
+    io.save_doc(io.lexicon_to_doc(lex), files / "impostor.lex.json")
+    code, out, err = run(
         capsys,
         "dict", "--lex-a", str(files / "aware.lex.json"),
-        "--lex-b", str(tmp_path / "impostor.lex.json"),
+        "--lex-b", str(files / lex_b),
         "--translation", str(files / "collapse.json"),
     )
-    # --lex-b's model is not the translation's target, whatever its name
-    assert code == 2
+    assert (code, out) == (2, "")
     assert err == (
         "error: lexicon uses model 'number-aware', the translation needs 'number-blind'\n"
     )

@@ -1,6 +1,7 @@
 import time
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,8 +118,19 @@ def test_max_results_is_a_prefix():
     everything = reduce_search(g, target)
     assert [r.sorted_cups for r in everything] == [((0, 1),), ((2, 3),)]
     assert reduce_search(g, target, max_results=1) == everything[:1]
+    assert reduce_search(g, target, max_results=np.int64(2)) == everything
     with pytest.raises(ValueError):
         reduce_search(g, target, max_results=0)
+
+
+@pytest.mark.parametrize("count", [True, 1.5, 2.0, "2"])
+def test_max_results_must_be_an_integer(count):
+    # True was read as 1; the others failed raw, in islice or in the comparison
+    with pytest.raises(ValueError) as caught:
+        reduce_search(parse_type("n n^r s"), parse_type("s"), max_results=count)
+    assert str(caught.value) == (
+        f"the number of reductions to list must be an integer, got {count!r}"
+    )
 
 
 def test_results_in_leftmost_lexicographic_order():

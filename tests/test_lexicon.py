@@ -92,6 +92,37 @@ def test_lex_phrase_bad_sense_index(wardrobe):
         lex_phrase(wardrobe, Phrase(("Rosie",), (3,)))
 
 
+def _two_sense_lexicon():
+    """One word with two senses of one type, so sense 1 is told apart from 0."""
+    model = LanguageModel("m", {"n": 2})
+    senses = tuple(PSObject(make_tensor(model, parse_type("n"), d)) for d in ([1, 0], [0, 1]))
+    return Lexicon(model, {"w": senses})
+
+
+_PIPELINES = pytest.mark.parametrize("pipeline", [
+    lex_phrase, lambda lex, p: phrase_meaning(lex, p, parse_type("n")),
+], ids=["lex_phrase", "phrase_meaning"])
+
+
+@_PIPELINES
+@pytest.mark.parametrize(
+    "index", [True, 1.0, np.float64(1), "1"], ids=["bool", "float", "numpy-float", "string"]
+)
+def test_a_sense_index_must_be_an_integer(pipeline, index):
+    # True took sense 1; the others failed raw in tuple indexing or the range test
+    with pytest.raises(SenseIndexError) as caught:
+        pipeline(_two_sense_lexicon(), Phrase(("w",), (index,)))
+    assert str(caught.value) == f"sense {index!r} for 'w' is not an integer"
+
+
+@_PIPELINES
+def test_a_sense_index_may_be_a_numpy_integer(pipeline):
+    lex = _two_sense_lexicon()
+    got = pipeline(lex, Phrase(("w",), (np.int64(1),)))
+    assert got == pipeline(lex, Phrase(("w",), (1,)))
+    assert got != pipeline(lex, Phrase(("w",), (0,)))
+
+
 def test_phrase_product_types_and_shape(wardrobe):
     out = lex_phrase(wardrobe, Phrase(("Rosie", "wears", "boots"), (0, 1, 0)))
     assert str(out.type) == "n_s n_s^r s n_p^l n_p"

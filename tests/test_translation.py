@@ -1,6 +1,7 @@
 import dataclasses
 import time
 import tracemalloc
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -329,15 +330,21 @@ def test_translations_compare_by_value():
         hash(t)
 
 
+def _state(t):
+    """Each attribute of ``t``, its mappings copied."""
+    return {k: dict(v) if isinstance(v, Mapping) else v for k, v in vars(t).items()}
+
+
 def test_using_a_translation_changes_neither_its_equality_nor_its_repr():
     used, twin = _small_translation(), _small_translation()
     source = used.source_model
-    before = repr(used)
-    # the matrices are prepared when a translation is made, word images on use
-    assert set(twin._factors) == {(b, z) for b in "ns" for z in (0, 1)} and not twin._images
+    before, state = repr(used), _state(used)
+    # the matrices are prepared when a translation is made, and imaging keeps nothing
+    assert set(twin._factors) == {(b, z) for b in "ns" for z in (0, 1)}
     verb = PSObject(make_tensor(source, parse_type("n^r s n^l"), np.arange(8.0)))
     translate_lexicon(used, Lexicon(source, {"sees": (verb,)}))
-    assert used._images and not twin._images
+    translate_object(used, verb)
+    assert _state(used) == state
     assert used == twin
     assert repr(used) == before == repr(twin)
 
