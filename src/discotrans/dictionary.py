@@ -23,13 +23,12 @@ phrase, reduction, distance) and ordered by one ``np.lexsort``.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, NonFiniteError
+from .errors import BudgetExceededError, NonFiniteError, is_integer, is_real
 from .grammar import PregroupType, Reduction, free_group_image, reduce_search
 from .lexicon import Lexicon, Phrase
 from .product_space import _distances
@@ -110,12 +109,10 @@ class DictionaryQuery:
     max_pairs: int = 100_000
 
     def __post_init__(self) -> None:
-        # as LanguageModel's dimensions: True is a Python int, and a numpy
-        # integer is not; each cap is kept as a Python int, whose bit_length
-        # the budget check takes
+        # each cap is kept as a Python int, whose bit_length the budget check takes
         for name in ("max_source_len", "max_target_len", "max_pairs"):
             cap = getattr(self, name)
-            if not isinstance(cap, (int, np.integer)) or isinstance(cap, bool):
+            if not is_integer(cap):
                 raise ValueError(f"{name} must be an integer, got {cap!r}")
             object.__setattr__(self, name, int(cap))
         if self.max_source_len < 1 or self.max_target_len < 1:
@@ -130,8 +127,7 @@ class DictionaryQuery:
 
 
 def _check_threshold(k: float) -> None:
-    # numpy floats are real numbers; True is a Python int
-    if not isinstance(k, numbers.Real) or isinstance(k, bool):
+    if not is_real(k):
         raise ValueError(f"threshold must be a real number, got {k!r}")
     if not k >= 0:  # NaN fails every comparison
         raise ValueError("threshold must be non-negative")

@@ -1,4 +1,26 @@
-"""Exception types shared across the package."""
+"""Exception types and argument rules shared across the package."""
+
+import numbers
+
+import numpy as np
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not.
+
+    >>> [is_integer(v) for v in (2, True, 2.0, np.int64(2), np.float32(0.5))]
+    [True, False, False, True, False]
+    """
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number, numpy's included; a bool is not.
+
+    >>> [is_real(v) for v in (2, True, 2.0, np.int64(2), np.float32(0.5))]
+    [True, False, True, True, True]
+    """
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class DiscotransError(Exception):

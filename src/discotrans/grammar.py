@@ -20,10 +20,8 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Collection, Iterable, Iterator, NamedTuple
 
-import numpy as np
-
 from .errors import BudgetExceededError, InvalidReductionError, TypeMismatchError
-from .errors import TypeSyntaxError, UnknownBasicTypeError
+from .errors import TypeSyntaxError, UnknownBasicTypeError, is_integer
 
 # Basic types are bare identifier strings; models declare the generator set.
 BasicType = str
@@ -120,11 +118,11 @@ def parse_type(text: str, basics: Collection[str] | None = None) -> PregroupType
 class Reduction:
     """A type reduction witnessed by cups over the source word.
 
-    ``cups`` holds index pairs (i, j), i < j, each contracting the pair
-    ``(x, z)`` at i with ``(x, z+1)`` at j.  Construction validates the
-    whole structure in one left-to-right pass, which also derives
-    ``survivors``, the uncupped indices in order, and ``target``, the
-    simple types they spell.
+    ``cups`` holds index pairs (i, j) of Python ints, i < j, each
+    contracting the pair ``(x, z)`` at i with ``(x, z+1)`` at j.
+    Construction validates the whole structure in one left-to-right pass,
+    which also derives ``survivors``, the uncupped indices in order, and
+    ``target``, the simple types they spell.
     """
 
     source: PregroupType
@@ -134,7 +132,7 @@ class Reduction:
     target: PregroupType = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cups", frozenset(tuple(c) for c in self.cups))
+        object.__setattr__(self, "cups", frozenset(map(_cup, self.cups)))
         survivors = _validate(self.source, self.cups)
         object.__setattr__(self, "survivors", survivors)
         object.__setattr__(
@@ -144,10 +142,6 @@ class Reduction:
     @property
     def sorted_cups(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.cups))
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.cups
 
     @classmethod
     def identity(cls, g: PregroupType) -> Reduction:
@@ -162,6 +156,14 @@ class Reduction:
         if not self.cups:
             return "id"
         return "".join(f"({i},{j})" for i, j in self.sorted_cups)
+
+
+def _cup(cup: Iterable) -> tuple[int, ...]:
+    """``cup`` as a tuple of Python ints; an end that is not an integer is refused."""
+    cup = tuple(cup)
+    if not all(map(is_integer, cup)):
+        raise InvalidReductionError(f"cup {cup} has an end that is not an integer")
+    return tuple(map(int, cup))
 
 
 def _validate(source: PregroupType, cups: frozenset[tuple[int, int]]) -> tuple[int, ...]:
@@ -275,8 +277,7 @@ def reduce_search(
     limit is refused with ``BudgetExceededError``.
     """
     if max_results is not None:
-        # as DictionaryQuery's caps: True is a Python int, and a numpy integer is not
-        if not isinstance(max_results, (int, np.integer)) or isinstance(max_results, bool):
+        if not is_integer(max_results):
             raise ValueError(
                 f"the number of reductions to list must be an integer, got {max_results!r}"
             )

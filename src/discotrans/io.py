@@ -28,17 +28,13 @@ from .translation import Translation, _pair_rows
 FORMAT_VERSION = 1
 
 
-def format_number(x: float) -> str:
-    return f"{float(x):.12g}"
-
-
 def round_sig(x: float) -> float:
     """``x`` to 12 significant digits, as every document writer prints it.
 
     Raises ``NonFiniteError`` on infinity or NaN, which strict JSON
     readers reject.
     """
-    value = float(format_number(x))
+    value = float(f"{float(x):.12g}")
     if not math.isfinite(value):
         raise NonFiniteError(
             f"a result is {value}, which no document may hold: the arithmetic overflows float64"
@@ -368,12 +364,6 @@ def _gather(items: list, column: np.ndarray) -> list:
     return np.array(items, dtype=object)[column].tolist()
 
 
-def dictionary_to_doc(table: DictionaryTable) -> dict:
-    """The structured document of a dictionary, one record per row: the
-    document ``dictionary_to_json`` prints, read back."""
-    return json.loads(dictionary_to_json(table))
-
-
 def dictionary_from_doc(doc) -> list[DictionaryEntry]:
     doc = _check_format(doc, "dictionary")
     entries = []
@@ -407,7 +397,7 @@ def dictionary_from_doc(doc) -> list[DictionaryEntry]:
 def dictionary_to_rows(table: DictionaryTable) -> str:
     """Tab-separated rows: phrase, phrase, reduction, distance.
 
-    ``%.12g`` prints a float as ``format_number`` does.
+    ``%.12g`` prints a float with ``round_sig``'s digits.
     """
     return _render(table, "%s\t%s\t%s\t%.12g", "\n", str, str, np.ndarray.tolist)
 

@@ -18,9 +18,7 @@ from itertools import product
 from operator import matmul
 from types import MappingProxyType
 
-import numpy as np
-
-from .errors import NoReductionError, SenseIndexError, UnknownWordError
+from .errors import NoReductionError, SenseIndexError, UnknownWordError, is_integer
 from .grammar import PregroupType, Reduction, reduce_search
 from .product_space import PSObject, ps_tensor
 from .semantics import LanguageModel, Tensor, apply_reduction, space_shape
@@ -98,9 +96,8 @@ def _resolve_senses(lex: Lexicon, p: Phrase) -> tuple[int, ...]:
     choice = p.sense_choice or (0,) * len(p.words)
     for word, idx in zip(p.words, choice):
         senses = lex.senses(word)
-        # as DictionaryQuery's caps; checked here, not in Phrase, which dict
-        # makes for every kept row
-        if not isinstance(idx, (int, np.integer)) or isinstance(idx, bool):
+        # checked here, not in Phrase, which dict makes for every kept row
+        if not is_integer(idx):
             raise SenseIndexError(f"sense {idx!r} for {word!r} is not an integer")
         if not 0 <= idx < len(senses):
             raise SenseIndexError(

@@ -44,7 +44,10 @@ class PSMorphism:
 def frobenius_distance(u: np.ndarray, v: np.ndarray) -> float:
     """The Euclidean distance between two arrays of equal size: ``_distances``
     on one pair of rows."""
-    return float(_distances(np.reshape(u, (1, -1)), np.reshape(v, (1, -1)))[0, 0])
+    u, v = np.reshape(u, (1, -1)), np.reshape(v, (1, -1))
+    if u.size != v.size:
+        raise TypeMismatchError(f"arrays of {u.size} and {v.size} entries have no distance")
+    return float(_distances(u, v)[0, 0])
 
 
 def _distances(source_rows: np.ndarray, target_rows: np.ndarray) -> np.ndarray:

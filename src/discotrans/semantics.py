@@ -17,7 +17,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import NonFiniteError, TypeMismatchError, UnknownBasicTypeError
+from .errors import NonFiniteError, TypeMismatchError, UnknownBasicTypeError, is_integer
 from .grammar import PregroupType, Reduction
 
 
@@ -34,9 +34,8 @@ class LanguageModel:
     dims: Mapping[str, int]
 
     def __post_init__(self) -> None:
-        # True is a Python int, and a numpy integer is not
         for base, dim in self.dims.items():
-            if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 1:
+            if not is_integer(dim) or dim < 1:
                 raise ValueError(f"dimensions must be positive integers, but {base!r} has {dim!r}")
         # the model's own read-only mapping of Python ints: the caller's dict may change later
         dims = {base: int(dim) for base, dim in self.dims.items()}

@@ -12,7 +12,6 @@ fitting a matrix from example vector pairs.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -27,6 +26,7 @@ from .errors import (
     RankDeficientError,
     TypeMismatchError,
     UnknownBasicTypeError,
+    is_real,
 )
 from .grammar import PregroupType, Reduction, SimpleType
 from .lexicon import Lexicon
@@ -151,11 +151,16 @@ def alpha_component(t: Translation, g: PregroupType, array) -> np.ndarray:
         )
     extra = array.ndim - n
     image_rank = 0
-    for s in g.simples:
+    for axis, s in enumerate(g.simples):
         try:
             matrix, image = t._factors[s.base, s.z % 2]
         except KeyError:
             raise UnknownBasicTypeError(f"grammar map does not cover {s.base!r}") from None
+        if array.shape[0] != matrix.shape[0]:
+            raise TypeMismatchError(
+                f"axis {axis} of the array has size {array.shape[0]}, "
+                f"but '{s}' in type '{g}' needs {matrix.shape[0]}"
+            )
         rest = array.shape[1:]
         operand = array.transpose(*range(1, array.ndim), 0)
         operand = operand.reshape(math.prod(rest), array.shape[0])
@@ -295,7 +300,7 @@ def check_naturality(
     off-diagonal ``|G|`` and every other cup its largest ``|G|``.  No
     cups (or ``G = I``, an identity translation) give exactly 0.
     """
-    if not isinstance(tolerance, numbers.Real) or isinstance(tolerance, bool):
+    if not is_real(tolerance):
         raise ValueError(f"tolerance must be a real number, got {tolerance!r}")
     if not 0 <= tolerance < math.inf:
         raise ValueError(f"tolerance must be a finite non-negative number, got {tolerance}")

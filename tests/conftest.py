@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from discotrans.demo import (
     wardrobe_lexicon,
 )
 from discotrans.grammar import PregroupType, SimpleType
-from discotrans.semantics import LanguageModel
+from discotrans.product_space import PSObject
+from discotrans.semantics import LanguageModel, make_tensor, space_shape
 
 
 @pytest.fixture
@@ -49,3 +52,8 @@ def random_model(rng, bases=("x", "y"), max_dim=4) -> LanguageModel:
     return LanguageModel(
         "random", {b: int(rng.integers(1, max_dim + 1)) for b in bases}
     )
+
+
+def random_obj(rng, model, g) -> PSObject:
+    size = math.prod(space_shape(model, g))
+    return PSObject(make_tensor(model, g, rng.standard_normal(size)))

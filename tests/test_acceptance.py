@@ -44,6 +44,7 @@ from discotrans.translation import (
     translate_morphism,
     translate_object,
 )
+from conftest import random_obj
 from oracles import (
     all_reductions,
     dictionary_by_brute_force,
@@ -65,11 +66,6 @@ def _random_word(rng, bases=("x", "y"), max_len=4):
             for _ in range(rng.integers(0, max_len + 1))
         )
     )
-
-
-def _random_obj(rng, model, g):
-    size = int(np.prod(space_shape(model, g), dtype=int))
-    return PSObject(make_tensor(model, g, rng.standard_normal(size)))
 
 
 def _random_translation(rng, source_model, target_model):
@@ -191,8 +187,8 @@ def test_criterion_4_functor_and_monoidality_laws():
         r1 = random_reduction(rng, g)
         r2 = random_reduction(rng, r1.target)
         r3 = random_reduction(rng, r2.target)
-        a, b = _random_obj(rng, model, g), _random_obj(rng, model, r1.target)
-        c, d = _random_obj(rng, model, r2.target), _random_obj(rng, model, r3.target)
+        a, b = random_obj(rng, model, g), random_obj(rng, model, r1.target)
+        c, d = random_obj(rng, model, r2.target), random_obj(rng, model, r3.target)
         m1 = ps_morphism(model, a, r1, b)
         m2 = ps_morphism(model, b, r2, c)
         m3 = ps_morphism(model, c, r3, d)
@@ -210,9 +206,9 @@ def test_criterion_4_functor_and_monoidality_laws():
         g1, g2 = _random_word(rng, max_len=3), _random_word(rng, max_len=3)
         r1, r2 = random_reduction(rng, g1), random_reduction(rng, g2)
         q1, q2 = random_reduction(rng, r1.target), random_reduction(rng, r2.target)
-        a1, a2 = _random_obj(rng, model, g1), _random_obj(rng, model, g2)
-        b1, b2 = _random_obj(rng, model, r1.target), _random_obj(rng, model, r2.target)
-        c1, c2 = _random_obj(rng, model, q1.target), _random_obj(rng, model, q2.target)
+        a1, a2 = random_obj(rng, model, g1), random_obj(rng, model, g2)
+        b1, b2 = random_obj(rng, model, r1.target), random_obj(rng, model, r2.target)
+        c1, c2 = random_obj(rng, model, q1.target), random_obj(rng, model, q2.target)
         m1, m2 = ps_morphism(model, a1, r1, b1), ps_morphism(model, a2, r2, b2)
         n1, n2 = ps_morphism(model, b1, q1, c1), ps_morphism(model, b2, q2, c2)
         joint = ps_compose(
@@ -234,8 +230,8 @@ def test_criterion_4_functor_and_monoidality_laws():
         g = _random_word(rng)
         r1 = random_reduction(rng, g)
         r2 = random_reduction(rng, r1.target)
-        a, b = _random_obj(rng, model, g), _random_obj(rng, model, r1.target)
-        c = _random_obj(rng, model, r2.target)
+        a, b = random_obj(rng, model, g), random_obj(rng, model, r1.target)
+        c = random_obj(rng, model, r2.target)
         m1, m2 = ps_morphism(model, a, r1, b), ps_morphism(model, b, r2, c)
         direct = translate_morphism(t, ps_compose(m2, m1, a, b, c), a, c)
         stepwise = ps_compose(
@@ -252,8 +248,8 @@ def test_criterion_4_functor_and_monoidality_laws():
 
     for _ in range(200):
         t = _random_translation(rng, model, target)
-        a = _random_obj(rng, model, _random_word(rng, max_len=3))
-        b = _random_obj(rng, model, _random_word(rng, max_len=3))
+        a = random_obj(rng, model, _random_word(rng, max_len=3))
+        b = random_obj(rng, model, _random_word(rng, max_len=3))
         joint = translate_object(t, ps_tensor(a, b))
         split = ps_tensor(translate_object(t, a), translate_object(t, b))
         assert joint.type == split.type

@@ -969,7 +969,7 @@ def test_dict_json_is_the_library_document(dict_case, capsys):
     argv, query = dict_case
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 0
-    assert json.loads(out) == io.dictionary_to_doc(_library_table(argv, query))
+    assert json.loads(out) == json.loads(io.dictionary_to_json(_library_table(argv, query)))
     # the library reads the document back: one entry per row the same query prints
     _, rows, _ = run(capsys, *argv)
     assert len(io.dictionary_from_doc(json.loads(out))) == rows.count("\n")

@@ -1,7 +1,12 @@
 import doctest
 
+import discotrans.errors
 import discotrans.grammar
 import discotrans.semantics
+
+
+def test_errors_doctests():
+    assert doctest.testmod(discotrans.errors).failed == 0
 
 
 def test_grammar_doctests():

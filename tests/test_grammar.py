@@ -1,3 +1,4 @@
+import json
 import time
 from math import comb
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from discotrans import io
 from discotrans.errors import BudgetExceededError, InvalidReductionError, TypeSyntaxError
 from discotrans.errors import UnknownBasicTypeError
 from discotrans.grammar import (
@@ -249,6 +251,25 @@ def test_cup_enclosing_survivor_rejected():
     # the survivor between the cup ends blocks elimination
     with pytest.raises(InvalidReductionError):
         Reduction.from_cups(parse_type("a s a^r"), [(0, 2)])
+
+
+@pytest.mark.parametrize(
+    "cup", [(0.0, 1.0), (0.5, 1), ("0", "1"), (False, True)],
+    ids=["floats", "half", "strings", "booleans"],
+)
+def test_a_cup_end_must_be_an_integer(cup):
+    # floats and strings failed raw in the validation pass; booleans were
+    # kept, and written as a document that the library's reader refuses
+    with pytest.raises(InvalidReductionError) as caught:
+        Reduction(parse_type("n n^r s"), [cup])
+    assert str(caught.value) == f"cup {cup} has an end that is not an integer"
+
+
+def test_numpy_cup_ends_are_kept_as_python_ints():
+    r = Reduction(parse_type("n n^r s"), [(np.int64(0), np.int64(1))])
+    assert r.cups == {(0, 1)}
+    assert {type(end) for cup in r.cups for end in cup} == {int}
+    assert json.loads(json.dumps(io._reduction_to_doc(r)))["cups"] == [[0, 1]]
 
 
 # -- composition ----------------------------------------------------------------

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 from itertools import product
 
@@ -18,7 +17,7 @@ from discotrans.grammar import PregroupType, Reduction, SimpleType, parse_type
 from discotrans.lexicon import Lexicon, Phrase, lex_phrase, phrase_meaning, phrase_reduction
 from discotrans.product_space import PSObject, ps_tensor
 from discotrans.semantics import LanguageModel, _contract, make_tensor, space_shape
-from conftest import random_model, random_word
+from conftest import random_model, random_obj, random_word
 from oracles import phrase_reduction_by_product, reduction_matrix, reductions_by_elimination
 
 
@@ -244,11 +243,6 @@ def test_meaning_invariant_under_regrouping(wardrobe):
 
 # -- the word network against the product definition ----------------------------
 
-def _random_obj(rng, model, g):
-    size = math.prod(space_shape(model, g))
-    return PSObject(make_tensor(model, g, rng.standard_normal(size)))
-
-
 def _reducible_word_types(rng, target):
     """Word types whose product reduces onto ``target``: cups inserted at
     random into the target, the result cut into one to four words."""
@@ -278,7 +272,7 @@ def test_phrase_reduction_equals_the_product_definition(seed):
         # search backtracks
         types = [random_word(rng, max_len=3) for _ in range(rng.integers(0, 3))]
         types.insert(int(rng.integers(len(types) + 1)), g)
-        entries[f"w{k}"] = tuple(_random_obj(rng, model, h) for h in types)
+        entries[f"w{k}"] = tuple(random_obj(rng, model, h) for h in types)
     lex = Lexicon(model, entries)
     words = tuple(entries)
     for senses in product(*(range(len(lex.senses(w))) for w in words)):
@@ -313,7 +307,7 @@ def test_phrase_reduction_matches_the_product_loop(seed):
     for k, g in enumerate(_reducible_word_types(rng, target)):
         pool = [g, random_word(rng, max_len=3), random_word(rng, max_len=3)]
         types = [pool[i] for i in rng.integers(len(pool), size=rng.integers(1, 5))]
-        entries[f"w{k}"] = tuple(_random_obj(rng, model, h) for h in types)
+        entries[f"w{k}"] = tuple(random_obj(rng, model, h) for h in types)
     lex = Lexicon(model, entries)
     phrase = Phrase(tuple(entries))
     try:

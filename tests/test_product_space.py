@@ -22,21 +22,15 @@ from discotrans.semantics import (
     LanguageModel,
     apply_reduction,
     make_tensor,
-    space_shape,
     unit_scalar,
 )
 from discotrans.translation import identity_translation, translate_morphism
-from conftest import random_model, random_word
+from conftest import random_model, random_obj, random_word
 from oracles import random_reduction
 
 
 def _obj(model, type_text, data):
     return PSObject(make_tensor(model, parse_type(type_text), data))
-
-
-def _random_obj(rng, model, g):
-    size = int(np.prod(space_shape(model, g), dtype=int))
-    return PSObject(make_tensor(model, g, rng.standard_normal(size)))
 
 
 def test_survivors_target_and_type_are_derived():
@@ -76,6 +70,13 @@ def test_three_four_five_distance():
     tgt = _obj(model, "n", [0, 0])
     m = ps_morphism(model, src, Reduction.identity(src.type), tgt)
     assert m.distance == pytest.approx(5.0)
+
+
+def test_frobenius_distance_refuses_arrays_of_different_sizes():
+    # numpy's broadcast ValueError escaped
+    with pytest.raises(TypeMismatchError) as caught:
+        frobenius_distance(np.ones(3), np.ones(4))
+    assert str(caught.value) == "arrays of 3 and 4 entries have no distance"
 
 
 def test_exact_sentence_image_has_zero_distance(wardrobe):
@@ -127,7 +128,7 @@ def test_morphism_checks_the_meaning_shape_against_the_model():
 def test_compose_zero_distances_stay_zero(rng):
     model = LanguageModel("m", {"x": 3})
     g = parse_type("x x^r x")
-    a = _random_obj(rng, model, g)
+    a = random_obj(rng, model, g)
     r1 = Reduction.from_cups(g, [(0, 1)])
     b = PSObject(apply_reduction(model, r1, a.meaning))
     r2 = Reduction.identity(r1.target)
@@ -141,9 +142,9 @@ def test_compose_unit_law(rng):
     for _ in range(30):
         model = random_model(rng)
         g = random_word(rng, max_len=4)
-        a = _random_obj(rng, model, g)
+        a = random_obj(rng, model, g)
         r = random_reduction(rng, g)
-        b = _random_obj(rng, model, r.target)
+        b = random_obj(rng, model, r.target)
         m = ps_morphism(model, a, r, b)
         ident = ps_morphism(model, b, Reduction.identity(b.type), b)
         composite = ps_compose(ident, m, a, b, b)
@@ -155,11 +156,11 @@ def test_composite_distance_satisfies_triangle_bound(rng):
     for _ in range(100):
         model = random_model(rng, max_dim=3)
         g = random_word(rng, max_len=5)
-        a = _random_obj(rng, model, g)
+        a = random_obj(rng, model, g)
         r1 = random_reduction(rng, g)
-        b = _random_obj(rng, model, r1.target)
+        b = random_obj(rng, model, r1.target)
         r2 = random_reduction(rng, r1.target)
-        c = _random_obj(rng, model, r2.target)
+        c = random_obj(rng, model, r2.target)
         m1 = ps_morphism(model, a, r1, b)
         m2 = ps_morphism(model, b, r2, c)
         composite = ps_compose(m2, m1, a, b, c)
@@ -204,7 +205,7 @@ def test_tensor_associativity_on_random_data(rng):
     for _ in range(50):
         model = random_model(rng)
         objs = [
-            _random_obj(rng, model, random_word(rng, max_len=2)) for _ in range(3)
+            random_obj(rng, model, random_word(rng, max_len=2)) for _ in range(3)
         ]
         left = ps_tensor(ps_tensor(objs[0], objs[1]), objs[2])
         right = ps_tensor(objs[0], ps_tensor(objs[1], objs[2]))
@@ -216,11 +217,11 @@ def test_interchange_of_tensor_and_composition(rng):
     for _ in range(100):
         model = random_model(rng, max_dim=3)
         g1, g2 = random_word(rng, max_len=3), random_word(rng, max_len=3)
-        a1, a2 = _random_obj(rng, model, g1), _random_obj(rng, model, g2)
+        a1, a2 = random_obj(rng, model, g1), random_obj(rng, model, g2)
         r1, r2 = random_reduction(rng, g1), random_reduction(rng, g2)
-        b1, b2 = _random_obj(rng, model, r1.target), _random_obj(rng, model, r2.target)
+        b1, b2 = random_obj(rng, model, r1.target), random_obj(rng, model, r2.target)
         q1, q2 = random_reduction(rng, r1.target), random_reduction(rng, r2.target)
-        c1, c2 = _random_obj(rng, model, q1.target), _random_obj(rng, model, q2.target)
+        c1, c2 = random_obj(rng, model, q1.target), random_obj(rng, model, q2.target)
 
         m1, m2 = ps_morphism(model, a1, r1, b1), ps_morphism(model, a2, r2, b2)
         n1, n2 = ps_morphism(model, b1, q1, c1), ps_morphism(model, b2, q2, c2)
@@ -250,7 +251,7 @@ def test_distance_zero_iff_exact_image(rng):
     for _ in range(50):
         model = random_model(rng, max_dim=3)
         g = random_word(rng, max_len=4)
-        a = _random_obj(rng, model, g)
+        a = random_obj(rng, model, g)
         r = random_reduction(rng, g)
         exact = PSObject(apply_reduction(model, r, a.meaning))
         assert ps_morphism(model, a, r, exact).distance <= 1e-12
@@ -265,8 +266,8 @@ def test_distance_is_symmetric_in_endpoints(rng):
     for _ in range(30):
         model = random_model(rng)
         g = random_word(rng, max_len=3)
-        x = _random_obj(rng, model, g)
-        y = _random_obj(rng, model, g)
+        x = random_obj(rng, model, g)
+        y = random_obj(rng, model, g)
         ident = Reduction.identity(g)
         assert ps_morphism(model, x, ident, y).distance == pytest.approx(
             ps_morphism(model, y, ident, x).distance, abs=1e-12

@@ -21,7 +21,7 @@ from discotrans.errors import (
 from discotrans.grammar import PregroupType, Reduction, SimpleType, parse_type
 from discotrans.lexicon import Lexicon
 from discotrans.product_space import PSObject, ps_morphism, ps_tensor
-from discotrans.semantics import LanguageModel, apply_reduction, make_tensor, space_shape
+from discotrans.semantics import LanguageModel, Tensor, apply_reduction, make_tensor, space_shape
 from discotrans.translation import (
     Translation,
     alpha_component,
@@ -37,7 +37,7 @@ from discotrans.translation import (
     translate_object,
     translate_reduction,
 )
-from conftest import random_word
+from conftest import random_obj, random_word
 from oracles import (
     all_reductions,
     alpha_block,
@@ -48,11 +48,6 @@ from oracles import (
     random_orthogonal,
     random_reduction,
 )
-
-
-def _random_obj(rng, model, g):
-    size = int(np.prod(space_shape(model, g), dtype=int))
-    return PSObject(make_tensor(model, g, rng.standard_normal(size)))
 
 
 def _random_translation(rng, source_model, target_model):
@@ -292,7 +287,7 @@ def test_translate_object_is_the_lexicon_entry_bit_for_bit(seed, dims, senses):
     t = _two_simple_translation(rng, **dims)
     lex = Lexicon(t.source_model, {
         f"w{i}": tuple(
-            _random_obj(rng, t.source_model, PregroupType(tuple(SimpleType(b, z) for b, z in w)))
+            random_obj(rng, t.source_model, PregroupType(tuple(SimpleType(b, z) for b, z in w)))
             for w in words
         )
         for i, words in enumerate(senses)
@@ -419,7 +414,7 @@ def test_translate_lexicon_is_the_merged_per_sense_image(case, collapse, wardrob
         t = _random_translation(rng, source, LanguageModel("r2", {"x": 2, "y": 2}))
         entries = {}
         for word in ("d", "a", "c", "b"):
-            senses = [_random_obj(rng, source, random_word(rng, max_len=3)) for _ in range(3)]
+            senses = [random_obj(rng, source, random_word(rng, max_len=3)) for _ in range(3)]
             senses.insert(int(rng.integers(4)), senses[int(rng.integers(3))])
             entries[word] = senses
         lex = Lexicon(source, entries)
@@ -498,7 +493,7 @@ def test_reduction_image_with_erased_generator():
     )
     r = Reduction.from_cups(parse_type("b b^r s"), [(0, 1)])
     image = translate_reduction(t, r)
-    assert image.is_identity
+    assert not image.cups
     assert str(image.source) == "s"
 
 
@@ -552,6 +547,19 @@ def test_alpha_component_refuses_an_array_of_too_small_rank(collapse):
     assert str(caught.value) == "array of rank 1 is too small for type 'n_s n_s'"
 
 
+def test_alpha_component_refuses_an_axis_of_the_wrong_size(collapse):
+    # numpy's ValueError from np.dot escaped
+    with pytest.raises(TypeMismatchError) as caught:
+        alpha_component(collapse, parse_type("n_s"), np.ones(5))
+    assert str(caught.value) == "axis 0 of the array has size 5, but 'n_s' in type 'n_s' needs 4"
+    wrong = PSObject(Tensor(parse_type("n_s n_s"), np.ones((4, 5))))
+    with pytest.raises(TypeMismatchError) as caught:
+        translate_object(collapse, wrong)
+    assert str(caught.value) == (
+        "axis 1 of the array has size 5, but 'n_s' in type 'n_s n_s' needs 4"
+    )
+
+
 def test_alpha_component_on_an_uncovered_base_names_the_grammar_map(collapse):
     with pytest.raises(UnknownBasicTypeError) as caught:
         alpha_component(collapse, parse_type("q"), np.ones(2))
@@ -564,7 +572,7 @@ def test_identity_morphism_translates_to_identity(collapse, wardrobe):
         wardrobe.model, rosie, Reduction.identity(rosie.type), rosie
     )
     out = translate_morphism(collapse, m, rosie, rosie)
-    assert out.reduction.is_identity
+    assert not out.reduction.cups
     assert out.distance == 0.0
 
 
@@ -634,9 +642,9 @@ def test_translation_respects_composition(rng):
         g = random_word(rng, bases=("x", "y"), max_len=4)
         r1 = random_reduction(rng, g)
         r2 = random_reduction(rng, r1.target)
-        a = _random_obj(rng, source, g)
-        b = _random_obj(rng, source, r1.target)
-        c = _random_obj(rng, source, r2.target)
+        a = random_obj(rng, source, g)
+        b = random_obj(rng, source, r1.target)
+        c = random_obj(rng, source, r2.target)
         m1 = ps_morphism(source, a, r1, b)
         m2 = ps_morphism(source, b, r2, c)
         from discotrans.product_space import ps_compose
@@ -659,8 +667,8 @@ def test_translation_respects_tensor(rng):
     target = LanguageModel("tgt", {"p": 2, "q": 3})
     for _ in range(100):
         t = _random_translation(rng, source, target)
-        a = _random_obj(rng, source, random_word(rng, bases=("x", "y"), max_len=3))
-        b = _random_obj(rng, source, random_word(rng, bases=("x", "y"), max_len=3))
+        a = random_obj(rng, source, random_word(rng, bases=("x", "y"), max_len=3))
+        b = random_obj(rng, source, random_word(rng, bases=("x", "y"), max_len=3))
         joint = translate_object(t, ps_tensor(a, b))
         split = ps_tensor(translate_object(t, a), translate_object(t, b))
         assert joint.type == split.type
@@ -809,7 +817,7 @@ def _traced_peak(fn):
 def test_three_verb_phrase_translates_without_a_kronecker_matrix(rng):
     # the phrase has 8**6 entries; its Kronecker matrix would need 512 GiB
     t = _rotating_model(rng, 8)
-    verbs = [_random_obj(rng, t.source_model, parse_type("n^r s n^l")) for _ in range(3)]
+    verbs = [random_obj(rng, t.source_model, parse_type("n^r s n^l")) for _ in range(3)]
     phrase = ps_tensor(ps_tensor(verbs[0], verbs[1]), verbs[2])
     whole, _, peak = _traced_peak(lambda: translate_object(t, phrase))
     images = [translate_object(t, v) for v in verbs]
