@@ -120,9 +120,12 @@ class Reduction:
 
     ``cups`` holds index pairs (i, j) of Python ints, i < j, each
     contracting the pair ``(x, z)`` at i with ``(x, z+1)`` at j.
-    Construction validates the whole structure in one left-to-right pass,
-    which also derives ``survivors``, the uncupped indices in order, and
-    ``target``, the simple types they spell.
+    ``_cup`` reads each cup: anything but a pair of integers (bools
+    excluded) is refused with ``InvalidReductionError``, as is a ``cups``
+    that is not a collection.  Construction then validates the whole
+    structure against the word in one left-to-right pass, which also
+    derives ``survivors``, the uncupped indices in order, and ``target``,
+    the simple types they spell.
     """
 
     source: PregroupType
@@ -132,7 +135,11 @@ class Reduction:
     target: PregroupType = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "cups", frozenset(map(_cup, self.cups)))
+        try:
+            cups = frozenset(map(_cup, self.cups))
+        except TypeError:
+            raise InvalidReductionError(f"cups {self.cups!r} are not a collection") from None
+        object.__setattr__(self, "cups", cups)
         survivors = _validate(self.source, self.cups)
         object.__setattr__(self, "survivors", survivors)
         object.__setattr__(
@@ -158,24 +165,26 @@ class Reduction:
         return "".join(f"({i},{j})" for i, j in self.sorted_cups)
 
 
-def _cup(cup: Iterable) -> tuple[int, ...]:
-    """``cup`` as a tuple of Python ints; an end that is not an integer is refused."""
-    cup = tuple(cup)
-    if not all(map(is_integer, cup)):
-        raise InvalidReductionError(f"cup {cup} has an end that is not an integer")
-    return tuple(map(int, cup))
+def _cup(cup) -> tuple[int, int]:
+    """``cup`` as a pair of Python ints; anything else is refused."""
+    try:
+        i, j = cup
+    except (TypeError, ValueError):
+        raise InvalidReductionError(f"cup {cup!r} is not a pair of indices") from None
+    if not (is_integer(i) and is_integer(j)):
+        raise InvalidReductionError(f"cup {(i, j)} has an end that is not an integer")
+    return int(i), int(j)
 
 
 def _validate(source: PregroupType, cups: frozenset[tuple[int, int]]) -> tuple[int, ...]:
     """Check that ``cups`` reduce ``source``; return the uncupped indices in order."""
     n = len(source)
     partner: dict[int, int] = {}
-    for cup in cups:
-        if len(cup) != 2 or not (0 <= cup[0] < cup[1] < n):
-            raise InvalidReductionError(f"cup {cup} out of range for word of length {n}")
-        i, j = cup
+    for i, j in cups:
+        if not 0 <= i < j < n:
+            raise InvalidReductionError(f"cup {(i, j)} out of range for word of length {n}")
         if i in partner or j in partner:
-            raise InvalidReductionError(f"index reused across cups at {cup}")
+            raise InvalidReductionError(f"index reused across cups at {(i, j)}")
         partner[i], partner[j] = j, i
     # One left-to-right pass with a stack of open cups: a cup must close
     # innermost first (planarity) and nothing may survive while a cup is
@@ -185,20 +194,16 @@ def _validate(source: PregroupType, cups: frozenset[tuple[int, int]]) -> tuple[i
     survivors: list[int] = []
     for k in range(n):
         i = partner.get(k, k)
-        if i == k:
-            if open_cups:
-                raise InvalidReductionError("cups are crossing or enclose surviving material")
-            survivors.append(k)
-        elif i > k:
+        if i > k:
             open_cups.append(k)
-        elif open_cups.pop() != i:
+        elif i == k and not open_cups:
+            survivors.append(k)
+        elif i == k or open_cups.pop() != i:
             raise InvalidReductionError("cups are crossing or enclose surviving material")
-        else:
-            left, right = simples[i], simples[k]
-            if left.base != right.base or right.z != left.z + 1:
-                raise InvalidReductionError(
-                    f"cup ({i},{k}) joins {left} with {right}, not an adjoint pair"
-                )
+        elif simples[k] != simples[i].right:
+            raise InvalidReductionError(
+                f"cup ({i},{k}) joins {simples[i]} with {simples[k]}, not an adjoint pair"
+            )
     return tuple(survivors)
 
 

@@ -68,8 +68,8 @@ class Tensor:
     (and so ``make_tensor``) copies the caller's array, which the caller
     may still hold and write to; the library's own operations
     (``tensor_product``, ``apply_reduction``, ``normalize_sentence``,
-    ``unit_scalar``, ``translate_object``) adopt the arrays they have
-    just made, without a copy.
+    ``translate_object``) adopt the arrays they have just made, without a
+    copy.
     """
 
     type: PregroupType
@@ -127,10 +127,6 @@ def make_tensor(model: LanguageModel, g: PregroupType, data) -> Tensor:
             f"got {arr.size}"
         )
     return Tensor(g, arr.reshape(shape))
-
-
-def unit_scalar(value: float = 1.0) -> Tensor:
-    return Tensor._adopt(PregroupType(), np.asarray(float(value)))
 
 
 def tensor_product(u: Tensor, v: Tensor) -> Tensor:

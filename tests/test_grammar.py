@@ -265,6 +265,28 @@ def test_a_cup_end_must_be_an_integer(cup):
     assert str(caught.value) == f"cup {cup} has an end that is not an integer"
 
 
+@pytest.mark.parametrize("cups, message", [
+    ([5], "cup 5 is not a pair of indices"),
+    ([None], "cup None is not a pair of indices"),
+    ([(0,)], "cup (0,) is not a pair of indices"),
+    ([(0, 1, 2)], "cup (0, 1, 2) is not a pair of indices"),
+    ([(0, True)], "cup (0, True) has an end that is not an integer"),
+    (5, "cups 5 are not a collection"),
+], ids=["integer", "none", "one-end", "three-ends", "boolean-end", "not-a-collection"])
+def test_a_malformed_cup_is_refused_by_name(cups, message):
+    # an integer or None failed raw with TypeError, and a cup of one or
+    # three ends read "out of range"
+    with pytest.raises(InvalidReductionError) as caught:
+        Reduction(parse_type("n n^r s n^l n"), cups)
+    assert str(caught.value) == message
+
+
+def test_a_cup_past_the_word_reads_out_of_range():
+    with pytest.raises(InvalidReductionError) as caught:
+        Reduction(parse_type("n n^r s n^l n"), [(0, 7)])
+    assert str(caught.value) == "cup (0, 7) out of range for word of length 5"
+
+
 def test_numpy_cup_ends_are_kept_as_python_ints():
     r = Reduction(parse_type("n n^r s"), [(np.int64(0), np.int64(1))])
     assert r.cups == {(0, 1)}

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from discotrans import io
 from discotrans.demo import collapse_number_translation, wardrobe_lexicon
 from discotrans.dictionary import DictionaryQuery, DictionaryTable, build_dictionary
-from discotrans.errors import FormatError
+from discotrans.errors import FormatError, InvalidReductionError
 from discotrans.grammar import Reduction, parse_type
 from discotrans.lexicon import Lexicon, Phrase
 from discotrans.product_space import PSObject
@@ -618,8 +618,7 @@ def _both_types_null(doc):
     ("dictionary", lambda doc: doc["entries"][0]["reduction"]["cups"][1].__setitem__(0, 3.0),
      "dictionary entry entries[0] 'reduction' 'cups'[1][0] must be a JSON integer, not a number"),
     ("dictionary", lambda doc: doc["entries"][0]["reduction"]["cups"].__setitem__(0, [0, 1, 2]),
-     "dictionary entry entries[0] 'reduction' 'cups': cup (0, 1, 2) out of range for word "
-     "of length 5"),
+     "dictionary entry entries[0] 'reduction' 'cups': cup [0, 1, 2] is not a pair of indices"),
     ("dictionary", lambda doc: doc["entries"][0].update(distance="0"),
      "dictionary entry entries[0] 'distance' must be a JSON number, not a string"),
     ("dictionary", lambda doc: doc["entries"][0].update(distance=float("nan")),
@@ -632,6 +631,25 @@ def test_a_field_fault_names_its_place_and_the_kind_found(reader, change, messag
     with pytest.raises(FormatError) as caught:
         read(doc, Path("."))
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("cups, message", [
+    ([5], "'cups'[0] must be a JSON array, not an integer"),
+    ([None], "'cups'[0] must be a JSON array, not null"),
+    ([[0]], "'cups': cup [0] is not a pair of indices"),
+    ([[0, 1, 2]], "'cups': cup [0, 1, 2] is not a pair of indices"),
+    ([[0, True]], "'cups'[0][1] must be a JSON integer, not a boolean"),
+    (5, "'cups' must be a JSON array, not an integer"),
+])
+def test_a_malformed_cup_in_a_dictionary_is_a_format_error(cups, message):
+    # the reader checks each value's JSON kind; the cup's shape is the
+    # library's rule, reported at the place the cups sit
+    doc = _changed(_READERS["dictionary"][0][0], ("entries", 0, "reduction", "cups"), cups)
+    with pytest.raises(FormatError) as caught:
+        io.dictionary_from_doc(doc)
+    assert str(caught.value) == "dictionary entry entries[0] 'reduction' " + message
+    if "pair of indices" in message:
+        assert isinstance(caught.value.__cause__, InvalidReductionError)
 
 
 @pytest.mark.parametrize("reader", sorted(_READERS))

@@ -3,6 +3,7 @@ import pytest
 
 from discotrans.errors import TypeMismatchError
 from discotrans.grammar import (
+    UNIT,
     PregroupType,
     Reduction,
     compose_reductions,
@@ -20,9 +21,9 @@ from discotrans.product_space import (
 )
 from discotrans.semantics import (
     LanguageModel,
+    Tensor,
     apply_reduction,
     make_tensor,
-    unit_scalar,
 )
 from discotrans.translation import identity_translation, translate_morphism
 from conftest import random_model, random_obj, random_word
@@ -176,7 +177,7 @@ def test_composite_distance_satisfies_triangle_bound(rng):
 def test_tensor_with_unit_object():
     model = LanguageModel("m", {"n": 2})
     a = _obj(model, "n", [1, 2])
-    unit = PSObject(unit_scalar(1.0))
+    unit = PSObject(Tensor(UNIT, 1.0))
     assert ps_tensor(a, unit).meaning == a.meaning
     assert ps_tensor(unit, a).meaning == a.meaning
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from discotrans import io
 from discotrans.errors import NonFiniteError, TypeMismatchError, UnknownBasicTypeError
 from discotrans.grammar import (
+    UNIT,
     PregroupType,
     Reduction,
     SimpleType,
@@ -27,7 +28,6 @@ from discotrans.semantics import (
     normalize_sentence,
     space_shape,
     tensor_product,
-    unit_scalar,
 )
 from discotrans.product_space import PSObject
 from discotrans.translation import identity_translation, translate_object
@@ -141,13 +141,13 @@ def test_library_results_are_read_only():
     r = Reduction.from_cups(uv.type, [(0, 1)])
     results = [
         uv,
-        tensor_product(unit_scalar(2.0), unit_scalar(3.0)),
+        tensor_product(Tensor(UNIT, 2.0), Tensor(UNIT, 3.0)),
         apply_reduction(model, r, uv),
         apply_reduction(model, Reduction.identity(uv.type), uv),
         normalize_sentence(model, apply_reduction(model, r, uv)),
-        unit_scalar(5.0),
+        Tensor(UNIT, 5.0),
         translate_object(identity_translation(model), PSObject(uv)).meaning,
-        translate_object(identity_translation(model), PSObject(unit_scalar(2.0))).meaning,
+        translate_object(identity_translation(model), PSObject(Tensor(UNIT, 2.0))).meaning,
     ]
     for t in results:
         assert not t.array.flags.writeable
@@ -160,8 +160,8 @@ def test_library_results_are_read_only():
 def test_tensor_product_unit():
     model = LanguageModel("m", {"n": 4})
     u = make_tensor(model, parse_type("n"), [2, 5, 3, 1])
-    assert tensor_product(u, unit_scalar(1.0)) == u
-    assert tensor_product(unit_scalar(1.0), u) == u
+    assert tensor_product(u, Tensor(UNIT, 1.0)) == u
+    assert tensor_product(Tensor(UNIT, 1.0), u) == u
 
 
 def test_tensor_product_of_basis_vectors():
