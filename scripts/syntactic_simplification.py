@@ -42,9 +42,7 @@ def main() -> int:
     for text in ("Rosie wears boots", "Rosie wears a_boot"):
         phrase = Phrase.parse(text)
         raw = float(phrase_meaning(lex, phrase, s).flat[0])
-        norm = float(
-            normalize_sentence(lex.model, phrase_meaning(lex, phrase, s)).flat[0]
-        )
+        norm = float(normalize_sentence(phrase_meaning(lex, phrase, s)).flat[0])
         after = float(phrase_meaning(pushed, phrase, s).flat[0])
         print(f"  {text:22s} before: {raw:+g} (normalized {norm:g})   after: {after:+g}")
     print("  the quantity distinction is lost in the number-blind model.")

@@ -100,7 +100,7 @@ def cmd_meaning(args) -> int:
     target = parse_type(args.target_type, lex.model.basics)
     tensor = phrase_meaning(lex, _phrase(args), target)
     if args.normalize:
-        tensor = normalize_sentence(lex.model, tensor)
+        tensor = normalize_sentence(tensor)
     _print_doc(io.tensor_to_doc(tensor))
     return EXIT_OK
 
@@ -118,7 +118,7 @@ def cmd_check(args) -> int:
         {
             "format": io.FORMAT_VERSION,
             "max_residual": io.round_sig(report.max_residual),
-            "tolerance": report.tolerance,
+            "tolerance": io.round_sig(report.tolerance),
             "passed": report.passed,
             "basis_size": report.basis_size,
         }

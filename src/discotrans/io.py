@@ -221,7 +221,7 @@ def _tensors_of(model: LanguageModel, g: PregroupType, words: list, data: list) 
     return [Tensor._adopt(g, row.copy()) for row in rows.reshape(len(data), *shape)]
 
 
-def lexicon_to_doc(lex: Lexicon, model_ref=None) -> dict:
+def lexicon_to_doc(lex: Lexicon) -> dict:
     records = [
         {
             "word": word,
@@ -233,7 +233,7 @@ def lexicon_to_doc(lex: Lexicon, model_ref=None) -> dict:
     ]
     return {
         "format": FORMAT_VERSION,
-        "model": model_ref if model_ref is not None else model_to_doc(lex.model),
+        "model": model_to_doc(lex.model),
         "words": records,
     }
 

@@ -211,7 +211,7 @@ def apply_reduction(model: LanguageModel, r: Reduction, t: Tensor) -> Tensor:
     return Tensor._adopt(r.target, _contract(r, t.array))
 
 
-def normalize_sentence(model: LanguageModel, t: Tensor) -> Tensor:
+def normalize_sentence(t: Tensor) -> Tensor:
     """Collapse a one-dimensional sentence value: zero stays zero, anything
     else finite becomes one, and a non-finite value raises ``NonFiniteError``."""
     if t.array.size != 1:

@@ -433,35 +433,28 @@ def _apply_constraint(
     g: PregroupType, h: PregroupType, images: dict[str, PregroupType]
 ) -> bool:
     """Apply one constraint to ``images``; False when it has two or more unknowns left."""
-    remaining = list(g.simples)
-    target = list(h.simples)
-
-    def strip(simple: SimpleType, from_left: bool) -> None:
-        piece = images[simple.base].adjoint(simple.z).simples
-        take = target[: len(piece)] if from_left else target[len(target) - len(piece) :]
-        if tuple(take) != piece:
-            raise NonFunctorialTranslationError(
-                f"a single-valued grammar map cannot send '{g}' to '{h}': "
-                f"the image of {simple} is fixed to '{images[simple.base].adjoint(simple.z)}' "
-                f"but '{h}' requires '{PregroupType(tuple(take))}' there"
-            )
-        if from_left:
-            del target[: len(piece)]
-        else:
-            del target[len(target) - len(piece) :]
-
-    while remaining and remaining[0].base in images:
-        strip(remaining.pop(0), from_left=True)
-    while remaining and remaining[-1].base in images:
-        strip(remaining.pop(), from_left=False)
-    if not remaining:
-        if target:
-            raise NonFunctorialTranslationError(
-                f"images of '{g}' leave '{PregroupType(tuple(target))}' of '{h}' unaccounted for"
-            )
-        return True
-    if len(remaining) == 1:
-        simple = remaining[0]
-        images[simple.base] = PregroupType(tuple(target)).adjoint(-simple.z)
-        return True
-    return False
+    remaining, target = list(g.simples), list(h.simples)
+    # strip known images off the left end, then off the right: that order picks
+    # which mismatch is reported when both ends have one
+    for end in (0, -1):
+        while remaining and remaining[end].base in images:
+            simple = remaining.pop(end)
+            image = images[simple.base].adjoint(simple.z)
+            span = slice(0, len(image)) if end == 0 else slice(len(target) - len(image), None)
+            if tuple(target[span]) != image.simples:
+                raise NonFunctorialTranslationError(
+                    f"a single-valued grammar map cannot send '{g}' to '{h}': "
+                    f"the image of {simple} is fixed to '{image}' "
+                    f"but '{h}' requires '{PregroupType(tuple(target[span]))}' there"
+                )
+            del target[span]
+    if len(remaining) > 1:
+        return False
+    if remaining:
+        # the one unknown left takes what the known images leave of the target
+        images[remaining[0].base] = PregroupType(tuple(target)).adjoint(-remaining[0].z)
+    elif target:
+        raise NonFunctorialTranslationError(
+            f"images of '{g}' leave '{PregroupType(tuple(target))}' of '{h}' unaccounted for"
+        )
+    return True

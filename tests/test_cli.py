@@ -414,7 +414,8 @@ def test_a_field_fault_names_the_option_the_file_and_the_place(
 
 
 def test_an_unreadable_model_reference_names_the_option_and_the_file(files, capsys):
-    doc = io.lexicon_to_doc(wardrobe_lexicon(), model_ref="missing.model.json")
+    doc = io.lexicon_to_doc(wardrobe_lexicon())
+    doc["model"] = "missing.model.json"
     io.save_doc(doc, files / "referring.lex.json")
     lex = str(files / "referring.lex.json")
     code, out, err = run(capsys, "meaning", "--lex", lex, "--phrase", "Rosie", "--to", "n_s")
@@ -533,6 +534,21 @@ def test_check_identity_translation_passes(files, tmp_path, capsys):
     doc = json.loads(out)
     assert doc["passed"] is True
     assert doc["max_residual"] == 0
+
+
+def test_check_prints_its_tolerance_to_12_significant_digits(files, capsys):
+    argv = ["check", "--translation", str(files / "collapse.json"),
+            "--from", "n_s n_s^r s n_p^l n_p", "--to", "s"]
+    code, out, _ = run(capsys, *argv, "--tolerance", "0.12345678901234567")
+    assert code == 1
+    assert '\n  "tolerance": 0.123456789012,\n' in out
+    # the residual is 1.0: a tolerance just below it prints as 1.0 and still fails,
+    # since passed compares against the full value
+    code, out, _ = run(capsys, *argv, "--tolerance", "0.99999999999999")
+    doc = json.loads(out)
+    assert (code, doc["tolerance"], doc["passed"]) == (1, 1.0, False)
+    code, out, _ = run(capsys, *argv)
+    assert '\n  "tolerance": 1e-09,\n' in out
 
 
 def test_check_without_a_reduction_is_negative(files, capsys):

@@ -43,7 +43,9 @@ def test_lexicon_round_trip_inline_model(wardrobe, tmp_path):
 
 def test_lexicon_model_by_path(wardrobe, tmp_path):
     io.save_doc(io.model_to_doc(wardrobe.model), tmp_path / "model.json")
-    io.save_doc(io.lexicon_to_doc(wardrobe, model_ref="model.json"), tmp_path / "lex.json")
+    doc = io.lexicon_to_doc(wardrobe)
+    doc["model"] = "model.json"
+    io.save_doc(doc, tmp_path / "lex.json")
     assert io.load_lexicon(tmp_path / "lex.json").model == wardrobe.model
 
 

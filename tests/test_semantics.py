@@ -144,7 +144,7 @@ def test_library_results_are_read_only():
         tensor_product(Tensor(UNIT, 2.0), Tensor(UNIT, 3.0)),
         apply_reduction(model, r, uv),
         apply_reduction(model, Reduction.identity(uv.type), uv),
-        normalize_sentence(model, apply_reduction(model, r, uv)),
+        normalize_sentence(apply_reduction(model, r, uv)),
         Tensor(UNIT, 5.0),
         translate_object(identity_translation(model), PSObject(uv)).meaning,
         translate_object(identity_translation(model), PSObject(Tensor(UNIT, 2.0))).meaning,
@@ -279,20 +279,20 @@ def test_sentence_example_values():
 def test_normalize_sentence_values(value, expected):
     model = LanguageModel("m", {"s": 1})
     t = make_tensor(model, parse_type("s"), [value])
-    assert float(normalize_sentence(model, t).flat[0]) == expected
+    assert float(normalize_sentence(t).flat[0]) == expected
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_normalizing_a_non_finite_value_is_a_numeric_error(value):
     model = LanguageModel("m", {"s": 1})
     with pytest.raises(NonFiniteError, match="cannot be normalised"):
-        normalize_sentence(model, make_tensor(model, parse_type("s"), [value]))
+        normalize_sentence(make_tensor(model, parse_type("s"), [value]))
 
 
 def test_normalize_rejects_non_scalars():
     model = LanguageModel("m", {"n": 2})
     with pytest.raises(TypeMismatchError):
-        normalize_sentence(model, make_tensor(model, parse_type("n"), [1, 2]))
+        normalize_sentence(make_tensor(model, parse_type("n"), [1, 2]))
 
 
 def test_make_tensor_counts_its_entries():
