@@ -5,19 +5,22 @@ Every source phrase is translated, reduced onto a target phrase's type
 resulting Euclidean distance.  Thresholding keeps only pairs whose
 meanings are close enough.
 
-Phrases are handled in type buckets: all phrases of one type sit in one
-tensor stack.  The build is planned on types first, by one join that
-serves both sides: a bucket type is searched for reductions onto a type
-only when their free-group images agree, which every reduction keeps,
-and the bucket type is no shorter.  The target buckets land on their own
-types by the identity, or on the filter type by their first reduction;
-the source buckets land on the types the target side reached.  Both
-sides then take one row path: each (bucket, reduction) part contracts
-its whole stack once, and at each landing type the target rows are
-compared with the rows of all the source parts, a block of rows at a
-time.  A stack is grown only for a bucket that some reduction leaves or
-lands on.  The kept pairs are collected as columns (source phrase, target
-phrase, reduction, distance) and ordered by one ``np.lexsort``.
+Phrases are handled per word-type sequence: the phrases whose words have
+the types of one sequence sit in one tensor stack.  Sequences whose types
+concatenate to the same type share a bucket, which only keys the type
+search.  The build is planned on types first, by one join that serves
+both sides: a bucket type is searched for reductions onto a type only
+when their free-group images agree, which every reduction keeps, and the
+bucket type is no shorter.  The target buckets land on their own types by
+the identity, or on the filter type by their first reduction; the source
+buckets land on the types the target side reached.  Both sides then take
+one row path: each (bucket, reduction) part contracts the stack of each
+of its bucket's sequences once, and at each landing type the target rows
+are compared with the rows of all the source parts, a block of rows at a
+time.  A stack is grown only for a sequence whose bucket some reduction
+leaves or lands on.  The kept pairs are collected as columns (source
+phrase, target phrase, reduction, distance) and ordered by one
+``np.lexsort``.
 """
 
 from __future__ import annotations
@@ -150,19 +153,19 @@ class _PhraseBuckets:
 
     ``plan`` is made before any array: it maps each bucket's type to the
     word-type sequences that spell it, each a tuple of indices into the
-    lexicon's distinct word types, in the order their phrases sit in the
-    bucket.  Word sequences whose types concatenate to the same type share
-    a bucket.
+    lexicon's distinct word types, in the order ``_rows`` takes their rows.
+    Word sequences whose types concatenate to the same type share a bucket.
 
-    ``bucket(g)`` builds a bucket's stack, one phrase tensor per row, on
-    first use.  A sequence's phrases grow one word at a time on the right
-    by the outer products ``lex_phrase`` takes, so every row is bitwise
-    equal to its phrase's ``lex_phrase`` tensor; prefix stacks are kept
-    for the longer sequences that share them.  The phrases of built
-    buckets are numbered in the order the buckets were first used, and
-    ``labels`` lists them as (words, senses) pairs of tuples, the fields of
-    their ``Phrase``; no ``Phrase`` is made here, so the build pays for one
-    only where a kept row needs it.
+    ``sequence(seq)`` grows a sequence's stack, one phrase tensor per row,
+    on first use, and is the only stack kept; a bucket is no stack, only
+    the type key of its sequences.  A sequence's phrases grow one word at a
+    time on the right by the outer products ``lex_phrase`` takes, so every
+    row is bitwise equal to its phrase's ``lex_phrase`` tensor; prefix
+    stacks are kept for the longer sequences that share them.  A
+    sequence's phrases are numbered when it is grown, prefixes before the
+    sequences they start, and ``labels`` lists them as (words, senses)
+    pairs of tuples, the fields of their ``Phrase``; no ``Phrase`` is made
+    here, so the build pays for one only where a kept row needs it.
     """
 
     def __init__(self, lex: Lexicon, max_len: int) -> None:
@@ -183,33 +186,24 @@ class _PhraseBuckets:
             for seq, g in level:
                 self.plan.setdefault(g, []).append(seq)
         self.labels: list[tuple[tuple[str, ...], tuple[int, ...]]] = []
-        self._grown: dict[tuple[int, ...], tuple[list, np.ndarray]] = {}
-        self._built: dict[PregroupType, tuple[int, np.ndarray]] = {}
+        self._grown: dict[tuple[int, ...], tuple[int, np.ndarray]] = {}
 
-    def _sequence(self, seq: tuple[int, ...]) -> tuple[list, np.ndarray]:
-        """The labels and stack of one word-type sequence's phrases."""
+    def sequence(self, seq: tuple[int, ...]) -> tuple[int, np.ndarray]:
+        """The number in ``labels`` of a word-type sequence's first phrase, and its stack."""
         if seq not in self._grown:
             if len(seq) == 1:
                 labels, arrays = self._words[seq[0]]
-                self._grown[seq] = labels, np.stack(arrays)
+                stack = np.stack(arrays)
             else:
-                prefix_labels, prefix = self._sequence(seq[:-1])
-                word_labels, word_stack = self._sequence(seq[-1:])
+                (i, prefix), (j, words) = self.sequence(seq[:-1]), self.sequence(seq[-1:])
                 # every prefix times every word on its right, prefix-major
-                labels = [(pw + w, ps + s) for pw, ps in prefix_labels for w, s in word_labels]
-                stack = _join(prefix, word_stack, 1, 1)
-                self._grown[seq] = labels, stack.reshape(-1, *stack.shape[2:])
+                labels = [(pw + w, ps + s) for pw, ps in self.labels[i : i + len(prefix)]
+                          for w, s in self.labels[j : j + len(words)]]
+                stack = _join(prefix, words, 1, 1)
+                stack = stack.reshape(-1, *stack.shape[2:])
+            self._grown[seq] = len(self.labels), stack
+            self.labels += labels
         return self._grown[seq]
-
-    def bucket(self, g: PregroupType) -> tuple[np.ndarray, np.ndarray]:
-        """The numbers of a bucket's phrases in ``labels``, and its stack."""
-        if g not in self._built:
-            parts = [self._sequence(seq) for seq in self.plan[g]]
-            stack = parts[0][1] if len(parts) == 1 else np.concatenate([s for _, s in parts])
-            self._built[g] = len(self.labels), stack
-            self.labels += [label for labels, _ in parts for label in labels]
-        first, stack = self._built[g]
-        return np.arange(first, first + len(stack)), stack
 
 
 def _reduced_rows(r: Reduction, stack: np.ndarray) -> np.ndarray:
@@ -316,11 +310,13 @@ def _landings(
 def _rows(
     buckets: _PhraseBuckets, parts: list[tuple[PregroupType, Reduction]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Phrase numbers, part indices and reduced rows of every (bucket type, reduction) part."""
+    """Phrase numbers, part indices and reduced rows of every (sequence,
+    reduction) of the (bucket type, reduction) parts, in part then plan order."""
     numbered = []
     for k, (g, r) in enumerate(parts):
-        numbers, stack = buckets.bucket(g)
-        numbered.append((numbers, np.full(len(numbers), k), _reduced_rows(r, stack)))
+        for first, stack in map(buckets.sequence, buckets.plan[g]):
+            numbers = np.arange(first, first + len(stack))
+            numbered.append((numbers, np.full(len(stack), k), _reduced_rows(r, stack)))
     return numbered[0] if len(numbered) == 1 else tuple(map(np.concatenate, zip(*numbered)))
 
 

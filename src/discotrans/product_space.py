@@ -9,11 +9,12 @@ recomputed from the outer endpoints rather than accumulated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TypeMismatchError
+from .errors import NonFiniteError, TypeMismatchError
 from .grammar import PregroupType, Reduction, compose_reductions, tensor_reductions
 from .semantics import LanguageModel, Tensor, _contract, apply_reduction, tensor_product
 
@@ -37,7 +38,7 @@ class PSMorphism:
     distance: float
 
     def __post_init__(self) -> None:
-        if self.distance < 0:
+        if not self.distance >= 0:  # NaN fails every comparison
             raise ValueError(f"distance must be non-negative, got {self.distance}")
 
 
@@ -65,10 +66,12 @@ def ps_morphism(
     model: LanguageModel, source: PSObject, r: Reduction, target: PSObject
 ) -> PSMorphism:
     """The unique arrow along r: its label measures how far the reduced
-    source meaning lands from the target meaning."""
+    source meaning lands from the target meaning.  Raises
+    ``NonFiniteError`` when the label overflows to inf or NaN."""
     _check_endpoints(r, source, target)
-    image = apply_reduction(model, r, source.meaning)
-    return PSMorphism(r, frobenius_distance(image.array, target.meaning.array))
+    with np.errstate(over="ignore", invalid="ignore"):
+        image = apply_reduction(model, r, source.meaning)
+        return _labelled(r, image.array, target)
 
 
 def ps_compose(
@@ -103,8 +106,20 @@ def ps_tensor_morphism(
 def _arrow(r: Reduction, source: PSObject, target: PSObject) -> PSMorphism:
     """The arrow along ``r``, its label measured between the contracted
     source meaning and the target meaning.  The endpoints are not checked."""
-    image = _contract(r, source.meaning.array)
-    return PSMorphism(r, frobenius_distance(image, target.meaning.array))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _labelled(r, _contract(r, source.meaning.array), target)
+
+
+def _labelled(r: Reduction, image: np.ndarray, target: PSObject) -> PSMorphism:
+    """The arrow along ``r`` from a reduced meaning to ``target``, unless its
+    label overflows: overflow shows up as inf or NaN, never as a finite label."""
+    distance = frobenius_distance(image, target.meaning.array)
+    if not math.isfinite(distance):
+        raise NonFiniteError(
+            f"the label of the arrow from '{r.source}' to '{r.target}' by {r} is {distance}: "
+            "the arithmetic overflows float64"
+        )
+    return PSMorphism(r, distance)
 
 
 def _check_endpoints(r: Reduction, source: PSObject, target: PSObject) -> None:

@@ -69,9 +69,14 @@ class Translation:
             if base not in self.alpha:
                 raise UnknownBasicTypeError(f"alpha has no matrix for basic type {base!r}")
             frozen_j[base] = self.j[base]
+            if not isinstance(frozen_j[base], PregroupType):
+                raise ValueError(f"j[{base!r}] must be a PregroupType, got {frozen_j[base]!r}")
             image = space_shape(self.target_model, frozen_j[base])
             rows, cols = math.prod(image), self.source_model.dim(base)
-            matrix = np.asarray(self.alpha[base], dtype=float)
+            try:
+                matrix = np.asarray(self.alpha[base], dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"alpha[{base!r}] is not a matrix of numbers: {exc}") from None
             if matrix.shape != (rows, cols):
                 raise TypeMismatchError(
                     f"alpha[{base!r}] has shape {matrix.shape}, expected ({rows}, {cols})"

@@ -576,15 +576,15 @@ def test_bucket_rows_are_the_phrase_tensors(seed):
     for lex in (lex_a, lex_b, _five_word_pair()[0]):
         buckets = _PhraseBuckets(lex, 3)
         seen = []
-        for g in buckets.plan:
-            numbers, stack = buckets.bucket(g)
-            phrases = [Phrase(*buckets.labels[i]) for i in numbers]
-            assert len(stack) == len(phrases)
-            for phrase, row in zip(phrases, stack):
-                obj = lex_phrase(lex, phrase)
-                assert obj.type == g
-                assert np.array_equal(row, obj.meaning.array)
-            seen += phrases
+        for g, seqs in buckets.plan.items():
+            for first, stack in map(buckets.sequence, seqs):
+                phrases = [Phrase(*label) for label in buckets.labels[first : first + len(stack)]]
+                assert len(stack) == len(phrases)
+                for phrase, row in zip(phrases, stack):
+                    obj = lex_phrase(lex, phrase)
+                    assert obj.type == g
+                    assert np.array_equal(row, obj.meaning.array)
+                seen += phrases
         assert len(set(seen)) == len(seen)
         assert set(seen) == set(phrases_with_senses(lex, 3))
 

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from discotrans.errors import TypeMismatchError
+from discotrans.errors import NonFiniteError, TypeMismatchError
 from discotrans.grammar import (
     UNIT,
     PregroupType,
@@ -56,6 +58,35 @@ def test_survivors_target_and_type_are_derived():
 def test_negative_distance_rejected():
     with pytest.raises(ValueError):
         PSMorphism(Reduction.identity(PregroupType()), -0.5)
+
+
+def test_nan_distance_rejected():
+    # NaN < 0 is false, so a NaN label passed the old check
+    with pytest.raises(ValueError):
+        PSMorphism(Reduction.identity(PregroupType()), float("nan"))
+
+
+def test_an_overflowing_label_raises_without_a_warning():
+    # 1e308 - (-1e308) overflows float64: the label was inf, after numpy's
+    # overflow RuntimeWarning, where build_dictionary raises for the same pair
+    model = LanguageModel("m", {"n": 2})
+    big, small = _obj(model, "n", [1e308, 1e308]), _obj(model, "n", [-1e308, -1e308])
+    one = _obj(model, "n", [1, 0])  # a product with it does not overflow, only the label
+    identity = Reduction.identity(big.type)
+    arrow = PSMorphism(identity, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError) as caught:
+            ps_morphism(model, big, identity, small)
+        assert str(caught.value) == (
+            "the label of the arrow from 'n' to 'n' by id is inf: the arithmetic overflows float64"
+        )
+        with pytest.raises(NonFiniteError):
+            ps_compose(arrow, arrow, big, big, small)
+        with pytest.raises(NonFiniteError):
+            ps_tensor_morphism(arrow, arrow, big, one, small, one)
+        with pytest.raises(NonFiniteError):
+            translate_morphism(identity_translation(model), arrow, big, small)
 
 
 def test_identity_arrow_has_zero_distance():

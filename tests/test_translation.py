@@ -132,6 +132,22 @@ def test_alpha_shape_checked(aware_model, blind_model):
         )
 
 
+def test_a_grammar_map_image_must_be_a_type():
+    # a string image raised a raw AttributeError ('str' object has no attribute 'simples')
+    model = LanguageModel("m", {"n": 2})
+    with pytest.raises(ValueError) as caught:
+        Translation(model, model, {"n": "n"}, {"n": np.eye(2)})
+    assert str(caught.value) == "j['n'] must be a PregroupType, got 'n'"
+
+
+def test_an_alpha_of_other_than_numbers_names_its_base():
+    # numpy's "could not convert string to float: 'x'" named no basic type
+    model = LanguageModel("m", {"n": 2})
+    with pytest.raises(ValueError) as caught:
+        Translation(model, model, {"n": parse_type("n")}, {"n": [[1, 0], [0, "x"]]})
+    assert str(caught.value).startswith("alpha['n'] is not a matrix of numbers: ")
+
+
 # -- the grammar map ----------------------------------------------------------------
 
 def test_j_collapses_noun_flavours(collapse):
