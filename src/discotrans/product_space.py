@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NonFiniteError, TypeMismatchError
 from .grammar import PregroupType, Reduction, compose_reductions, tensor_reductions
-from .semantics import LanguageModel, Tensor, _contract, apply_reduction, tensor_product
+from .semantics import LanguageModel, Tensor, _check_space, _contract, tensor_product
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,8 @@ def ps_morphism(
     source meaning lands from the target meaning.  Raises
     ``NonFiniteError`` when the label overflows to inf or NaN."""
     _check_endpoints(r, source, target)
-    with np.errstate(over="ignore", invalid="ignore"):
-        image = apply_reduction(model, r, source.meaning)
-        return _labelled(r, image.array, target)
+    _check_space(model, source.meaning)
+    return _arrow(r, source, target)
 
 
 def ps_compose(
@@ -100,20 +99,18 @@ def ps_tensor_morphism(
     _check_endpoints(m1.reduction, source1, target1)
     _check_endpoints(m2.reduction, source2, target2)
     product = tensor_reductions(m1.reduction, m2.reduction)
-    return _arrow(product, ps_tensor(source1, source2), ps_tensor(target1, target2))
+    return _arrow(product, (source1, source2), (target1, target2), lambda ends: ps_tensor(*ends))
 
 
-def _arrow(r: Reduction, source: PSObject, target: PSObject) -> PSMorphism:
-    """The arrow along ``r``, its label measured between the contracted
-    source meaning and the target meaning.  The endpoints are not checked."""
+def _arrow(r: Reduction, source, target, make=lambda o: o) -> PSMorphism:
+    """The arrow along ``r`` from ``make(source)`` to ``make(target)``, its
+    label measured between the contracted source meaning and the target
+    meaning.  The endpoints are made inside the overflow guard, so overflow
+    anywhere shows up as a non-finite label, which raises ``NonFiniteError``
+    and is never returned.  The endpoints are not checked."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _labelled(r, _contract(r, source.meaning.array), target)
-
-
-def _labelled(r: Reduction, image: np.ndarray, target: PSObject) -> PSMorphism:
-    """The arrow along ``r`` from a reduced meaning to ``target``, unless its
-    label overflows: overflow shows up as inf or NaN, never as a finite label."""
-    distance = frobenius_distance(image, target.meaning.array)
+        image = _contract(r, make(source).meaning.array)
+        distance = frobenius_distance(image, make(target).meaning.array)
     if not math.isfinite(distance):
         raise NonFiniteError(
             f"the label of the arrow from '{r.source}' to '{r.target}' by {r} is {distance}: "

@@ -195,17 +195,22 @@ def _join(out: np.ndarray, a: np.ndarray, batch: int, extra: int) -> np.ndarray:
     return joined
 
 
+def _check_space(model: LanguageModel, t: Tensor) -> None:
+    """A tensor belongs to ``model`` when its shape is its type's space there."""
+    if list(t.shape) != space_shape(model, t.type):
+        raise TypeMismatchError(
+            f"tensor shape {list(t.shape)} does not match model "
+            f"{model.name!r} shape {space_shape(model, t.type)}"
+        )
+
+
 def apply_reduction(model: LanguageModel, r: Reduction, t: Tensor) -> Tensor:
     """Evaluate the reduction on a tensor of its source type."""
     if t.type != r.source:
         raise TypeMismatchError(
             f"tensor has type '{t.type}' but reduction starts at '{r.source}'"
         )
-    if list(t.shape) != space_shape(model, r.source):
-        raise TypeMismatchError(
-            f"tensor shape {list(t.shape)} does not match model "
-            f"{model.name!r} shape {space_shape(model, r.source)}"
-        )
+    _check_space(model, t)
     # an identity reduction gives t's own frozen array, adopted as it is:
     # neither tensor can write to it
     return Tensor._adopt(r.target, _contract(r, t.array))

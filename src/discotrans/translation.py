@@ -208,7 +208,7 @@ def translate_morphism(
     translated-and-reduced source and the translated target."""
     _check_endpoints(m.reduction, source, target)
     image = translate_reduction(t, m.reduction)
-    return _arrow(image, translate_object(t, source), translate_object(t, target))
+    return _arrow(image, source, target, lambda o: translate_object(t, o))
 
 
 def _check_model(lex: Lexicon, model: LanguageModel) -> None:

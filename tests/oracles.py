@@ -160,28 +160,38 @@ def alpha_component_by_tensordot(t: Translation, g: PregroupType, array) -> np.n
     return array.transpose(*range(extra, extra + image_rank), *range(extra))
 
 
+_PROBE_ENTRIES = 1 << 16
+
+
 def naturality_by_basis_probe(
     t: Translation, r: Reduction, tolerance: float = 1e-9
 ) -> NaturalityReport:
     """Naturality check by pushing the identity matrix down both paths.
 
     Every standard basis vector of the source space is reduced then
-    translated, and translated then reduced, through the materialised
-    Kronecker components; the report carries the worst per-vector
-    Euclidean mismatch.
+    translated, and translated then reduced, with alpha applied one axis
+    at a time by ``alpha_component_by_tensordot``; the report carries the
+    worst per-vector Euclidean mismatch.  The basis goes through in
+    blocks of about ``_PROBE_ENTRIES`` entries, so no size × size matrix
+    is built.
     """
     image = translate_reduction(t, r)
     src_shape = space_shape(t.source_model, r.source)
     size = math.prod(src_shape)
-    alpha_src = alpha_matrix_by_kron(t, r.source)
-    alpha_tgt = alpha_matrix_by_kron(t, r.target)
-    # one basis vector per row, the batch axis leading
-    basis = np.eye(size).reshape(size, *src_shape)
-    reduced_first = _contract(r, basis).reshape(size, -1) @ alpha_tgt.T
-    image_shape = space_shape(t.target_model, image.source)
-    translated_first = _contract(image, alpha_src.T.reshape(size, *image_shape)).reshape(size, -1)
-    residuals = np.linalg.norm(reduced_first - translated_first, axis=1)
-    max_residual = float(residuals.max()) if residuals.size else 0.0
+
+    def alpha(g: PregroupType, batch: np.ndarray) -> np.ndarray:
+        # alpha at g on every basis vector of the block, the batch axis leading
+        out = alpha_component_by_tensordot(t, g, np.moveaxis(batch, 0, -1))
+        return np.moveaxis(out, -1, 0)
+
+    max_residual, step = 0.0, max(1, _PROBE_ENTRIES // size)
+    for start in range(0, size, step):
+        # one basis vector per row, the batch axis leading
+        basis = np.eye(min(step, size - start), size, start).reshape(-1, *src_shape)
+        reduced_first = alpha(r.target, _contract(r, basis))
+        translated_first = _contract(image, alpha(r.source, basis))
+        diff = (reduced_first - translated_first).reshape(len(basis), -1)
+        max_residual = max(max_residual, float(np.linalg.norm(diff, axis=1).max()))
     return NaturalityReport(max_residual, max_residual <= tolerance, tolerance, size)
 
 

@@ -27,7 +27,7 @@ from discotrans.semantics import (
     apply_reduction,
     make_tensor,
 )
-from discotrans.translation import identity_translation, translate_morphism
+from discotrans.translation import Translation, identity_translation, translate_morphism
 from conftest import random_model, random_obj, random_word
 from oracles import random_reduction
 
@@ -87,6 +87,13 @@ def test_an_overflowing_label_raises_without_a_warning():
             ps_tensor_morphism(arrow, arrow, big, one, small, one)
         with pytest.raises(NonFiniteError):
             translate_morphism(identity_translation(model), arrow, big, small)
+        # overflow while making the endpoints themselves: the product big ⊗ big,
+        # and the image of big under a huge alpha
+        with pytest.raises(NonFiniteError):
+            ps_tensor_morphism(arrow, arrow, big, big, big, big)
+        huge = Translation(model, model, {"n": big.type}, {"n": 1e300 * np.eye(2)})
+        with pytest.raises(NonFiniteError):
+            translate_morphism(huge, ps_morphism(model, big, identity, big), big, big)
 
 
 def test_identity_arrow_has_zero_distance():
