@@ -1,17 +1,17 @@
 """Compare the benchmark of two source trees in alternating pairs of runs.
 
-Usage: python3 scripts/compare.py [--workloads W,W...] [--seeds N,N...] [--pairs N]
-                                  [--seconds S] [--smoke] [--out FILE] BASE HEAD
+Usage: python3 scripts/compare.py [--workloads W,W...] [--pairs N] [--seconds S]
+                                  [--smoke] [--out FILE] BASE HEAD
 
 BASE and HEAD are checkouts of this repository, or one checkout twice to
 see the noise floor.  Both trees are byte-compiled first, so neither run
-pays for compiling its imports.  Then, for each workload and seed, each
+pays for compiling its imports.  Then, for each workload, at seed 41, each
 pair runs ``perfbench/run.py --trace 0`` once in each tree, BASE first in
 the odd pairs and HEAD first in the even ones.  Workloads, bounds and the
 default ``--seconds`` come from HEAD's ``BENCHMARK.json``; nothing under
 ``perfbench/`` and no bound is changed.
 
-Per workload, seed and end-to-end metric it prints both medians, BASE's
+Per workload and end-to-end metric it prints both medians, BASE's
 quartiles, how many pairs HEAD wins in the metric's direction, the
 relative change of the medians, and the metric's bound, with a verdict:
 
@@ -22,7 +22,7 @@ relative change of the medians, and the metric's bound, with a verdict:
 - ``within`` otherwise.
 
 ``--out FILE`` writes the same figures as JSON, in the schema of
-``BENCH_lexicon_reader.json``: one record per "workload seed N", with
+``BENCH_lexicon_reader.json``: one record per "workload seed 41", with
 ``pairs``, ``correct``, ``failed`` and ``attempted`` per side ("parent" is
 BASE, "change" is HEAD), and per metric the medians, BASE's quartiles and
 IQR, ``wins`` of ``of`` pairs, ``relative_change``, ``bound`` and
@@ -41,6 +41,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+SEED = 41
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -77,10 +79,10 @@ def compile_tree(tree: Path) -> None:
                    stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float, smoke: bool) -> dict:
+def run_once(tree: Path, workload: str, seconds: float, smoke: bool) -> dict:
     """One ``run.py`` run in ``tree``: its last stdout line, or an incorrect
     record if the run did not finish with one."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
             "--seconds", str(seconds), "--trace", "0", *(["--smoke"] if smoke else [])]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     try:
@@ -88,7 +90,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, smoke: bool) 
     except (IndexError, ValueError):
         result = None
     if proc.returncode or result is None:
-        print(f"{tree}: {workload} seed {seed} exited {proc.returncode}:\n{proc.stderr}",
+        print(f"{tree}: {workload} seed {SEED} exited {proc.returncode}:\n{proc.stderr}",
               file=sys.stderr)
         return {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
     return result
@@ -148,7 +150,6 @@ def print_record(key: str, rec: dict) -> None:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description="Compare two trees' benchmark in pairs of runs.")
     parser.add_argument("--workloads", type=_names, help="comma-separated; default: all")
-    parser.add_argument("--seeds", type=lambda text: [int(s) for s in _names(text)], default=[41])
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, help="default: run_seconds of BENCHMARK.json")
     parser.add_argument("--smoke", action="store_true", help="the benchmark's small sizes")
@@ -172,15 +173,14 @@ def main(argv: list[str]) -> int:
         compile_tree(tree)
     records = {}
     for workload in workloads:
-        for seed in args.seeds:
-            base, head = [], []
-            for pair in range(args.pairs):
-                order = ((args.base, base), (args.head, head))
-                for tree, runs in order if pair % 2 == 0 else order[::-1]:
-                    runs.append(run_once(tree, workload, seed, seconds, args.smoke))
-            key = f"{workload} seed {seed}"
-            records[key] = record(bench["end_to_end"], base, head)
-            print_record(key, records[key])
+        base, head = [], []
+        for pair in range(args.pairs):
+            order = ((args.base, base), (args.head, head))
+            for tree, runs in order if pair % 2 == 0 else order[::-1]:
+                runs.append(run_once(tree, workload, seconds, args.smoke))
+        key = f"{workload} seed {SEED}"
+        records[key] = record(bench["end_to_end"], base, head)
+        print_record(key, records[key])
 
     if args.out:
         import numpy
@@ -190,8 +190,8 @@ def main(argv: list[str]) -> int:
             "machine": f"{os.cpu_count()}-CPU {platform.system()} {platform.machine()}, "
                        f"Python {platform.python_version()}, numpy {numpy.__version__}, "
                        "one BLAS thread",
-            "method": f"{args.pairs} pairs per workload and seed of `python perfbench/run.py "
-                      f"--workload W --seed S --seconds {seconds:g} --trace 0"
+            "method": f"{args.pairs} pairs per workload of `python perfbench/run.py "
+                      f"--workload W --seed {SEED} --seconds {seconds:g} --trace 0"
                       f"{' --smoke' if args.smoke else ''}`, parent first in odd pairs and "
                       "change first in even pairs, both trees byte-compiled first; medians "
                       "and the parent's quartiles over each side's runs; wins counts pairs "
