@@ -95,7 +95,7 @@ def cmd_meaning(args) -> int:
     lex = _load(io.load_lexicon, args, "lex")
     if args.translation is not None:
         t = _load(io.load_translation, args, "translation")
-        # the phrase's words only, unmerged, so --senses indexes the source senses
+        # the phrase's words only, every sense kept, so --senses indexes the source senses
         lex = _image_lexicon(t, lex, dict.fromkeys(args.phrase.split()))
     target = parse_type(args.target_type, lex.model.basics)
     tensor = phrase_meaning(lex, _phrase(args), target)
@@ -168,9 +168,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("parse", help="search for type reductions")
-    p.add_argument("--from", dest="source_type", required=True, metavar="TYPE")
-    p.add_argument("--to", dest="target_type", required=True, metavar="TYPE")
+    # the type options, one declaration for parse and check
+    types = argparse.ArgumentParser(add_help=False)
+    types.add_argument("--from", dest="source_type", required=True, metavar="TYPE")
+    types.add_argument("--to", dest="target_type", required=True, metavar="TYPE")
+
+    p = sub.add_parser("parse", parents=[types], help="search for type reductions")
     p.add_argument("--max", type=int, default=None, help="cap on reductions listed")
     p.add_argument("--model", help="model file whose basic types constrain parsing")
     p.set_defaults(func=cmd_parse)
@@ -193,10 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--translation", required=True, help="translation file")
     p.set_defaults(func=cmd_meaning)
 
-    p = sub.add_parser("check", help="verify a translation commutes with a reduction")
+    p = sub.add_parser("check", parents=[types],
+                       help="verify a translation commutes with a reduction")
     p.add_argument("--translation", required=True)
-    p.add_argument("--from", dest="source_type", required=True, metavar="TYPE")
-    p.add_argument("--to", dest="target_type", required=True, metavar="TYPE")
     p.add_argument("--tolerance", type=float, default=1e-9)
     p.set_defaults(func=cmd_check)
 

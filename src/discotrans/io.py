@@ -181,8 +181,7 @@ def lexicon_from_doc(doc, base_dir: Path = Path(".")) -> Lexicon:
     doc = _check_format(doc, "lexicon")
     model = _resolve_model(doc, "model", "lexicon", base_dir)
     records = _field(doc, "words", "lexicon", list)
-    words: list[str] = []  # each record's word and type string, in document order
-    type_strings: list[str] = []
+    keys: list[tuple[str, str]] = []  # each record's word and type string, in document order
     groups: dict[str, tuple[PregroupType, list, list]] = {}  # type string -> (type, words, data)
     for i, record in enumerate(records):
         word = _field(record, "word", "lexicon record words[{}]", str, i)
@@ -193,11 +192,10 @@ def lexicon_from_doc(doc, base_dir: Path = Path(".")) -> Lexicon:
             group = groups[type_string] = (g, [], [])
         group[1].append(word)
         group[2].append(_field(record, "data", "lexicon record words[{}]", list, i))
-        words.append(word)
-        type_strings.append(type_string)
+        keys.append((word, type_string))
     tensors = {s: iter(_tensors_of(model, *group)) for s, group in groups.items()}
     entries: dict[str, list[PSObject]] = {}
-    for word, type_string in zip(words, type_strings):
+    for word, type_string in keys:
         entries.setdefault(word, []).append(PSObject(next(tensors[type_string])))
     with _at("lexicon record"):
         return Lexicon(model, {w: tuple(objs) for w, objs in entries.items()})

@@ -222,33 +222,30 @@ def _check_model(lex: Lexicon, model: LanguageModel) -> None:
         )
 
 
-def _image_lexicon(t: Translation, lex: Lexicon, words, merge: bool = False) -> Lexicon:
-    """Each sense of each of ``words`` translated once, in sense order.
+def _image_lexicon(t: Translation, lex: Lexicon, words) -> Lexicon:
+    """Each sense of each of ``words`` translated once, in sense order, so
+    sense indices still refer to the source lexicon.
 
-    Without ``merge`` sense indices still refer to the source lexicon.
     Phrases built from these images equal the translated phrases because
     a translation is monoidal, and a pushed-through target phrase is then
     bitwise equal to its source image, keeping its distance exactly 0.
-    With ``merge`` an image equal to an earlier image of the same word is
-    dropped; equal images share a type, so the first sense of each type
-    is still there.
     """
     _check_model(lex, t.source_model)
-    entries = {}
-    for word in words:
-        images: list[PSObject] = []
-        for obj in lex.senses(word):
-            image = translate_object(t, obj)
-            if not (merge and any(image.meaning == seen.meaning for seen in images)):
-                images.append(image)
-        entries[word] = tuple(images)
-    return Lexicon(t.target_model, entries)
+    images = {w: tuple(translate_object(t, obj) for obj in lex.senses(w)) for w in words}
+    return Lexicon(t.target_model, images)
 
 
 def translate_lexicon(t: Translation, lex: Lexicon) -> Lexicon:
-    """Push a whole lexicon through a translation, dropping senses whose
-    images coincide."""
-    return _image_lexicon(t, lex, lex.entries, merge=True)
+    """Push a whole lexicon through a translation, dropping each image
+    equal to an earlier image of the same word.
+
+    Equal images share a type, so the first sense of each type is kept.
+    """
+    entries = {
+        word: [o for i, o in enumerate(images) if all(o.meaning != e.meaning for e in images[:i])]
+        for word, images in _image_lexicon(t, lex, lex.entries).entries.items()
+    }
+    return Lexicon(t.target_model, entries)
 
 
 def compose_translations(t2: Translation, t1: Translation) -> Translation:

@@ -14,15 +14,16 @@ from pathlib import Path
 import numpy as np
 
 from discotrans import io
-from discotrans.dictionary import DictionaryEntry, _distances, _image_lexicon, _reduced_rows
+from discotrans.dictionary import DictionaryEntry, _reduced_rows
 from discotrans.errors import ModelMismatchError, NoReductionError
 from discotrans.grammar import PregroupType, Reduction, SimpleType, reduce_search
 from discotrans.lexicon import Lexicon, Phrase, lex_phrase
-from discotrans.product_space import PSObject
+from discotrans.product_space import PSObject, _distances
 from discotrans.semantics import LanguageModel, _contract, apply_reduction, space_shape
 from discotrans.translation import (
     NaturalityReport,
     Translation,
+    _image_lexicon,
     translate_object,
     translate_reduction,
 )

@@ -10,16 +10,19 @@ it into an XPASS that fails the suite until its mark goes.
 - The benchmark's dict-wide smoke inputs at seed 41, written once by
   ``perfbench/workloads.py``'s ``DictWorkload.setup`` as
   ``scripts/same_output.py`` writes them, print one output under OpenBLAS's
-  Haswell kernel (with FMA) and its Sandybridge kernel (without).
+  Haswell kernel (with FMA) and its Sandybridge kernel (without), and one
+  output under Haswell and SkylakeX (both with FMA), where only the
+  distances' dot products differ.
 - The same inputs, pushed through under Haswell, keep their ``--k 0`` rows
   under Sandybridge.
 - A ``dict`` whose difference rows are wider than OpenBLAS splits over
   its threads prints one output under one and two threads.
 
 The kernel tests skip unless numpy's BLAS is an OpenBLAS built with
-``DYNAMIC_ARCH`` that really switches to each kernel, as its
-``OPENBLAS_VERBOSE=2`` report (``Core: <kernel>``) shows.  SkylakeX is
-left out because it needs AVX-512.  The thread test skips unless a dot
+``DYNAMIC_ARCH`` that really switches to each kernel: a child interpreter
+asked for the kernel must exit 0 and name it in its ``OPENBLAS_VERBOSE=2``
+report (``Core: <kernel>``).  So a CPU without AVX-512, which SkylakeX
+needs, skips the SkylakeX test.  The thread test skips unless a dot
 product's bits really change between one and two threads.
 """
 
@@ -76,13 +79,13 @@ def _dict(argv: list, threads: int = 1, **extra: str) -> tuple[int, bytes]:
     return proc.returncode, proc.stdout
 
 
-def _kernels_switch() -> bool:
-    """Whether numpy's BLAS reports each kernel of ``_KERNELS`` when asked for it."""
-    for kernel in _KERNELS:
+def _kernels_switch(kernels: tuple[str, ...]) -> bool:
+    """Whether numpy's BLAS loads under each of ``kernels`` and reports it when asked for it."""
+    for kernel in kernels:
         probe = subprocess.run([sys.executable, "-c", "import numpy"], capture_output=True,
                                text=True, env=_env(OPENBLAS_CORETYPE=kernel, OPENBLAS_VERBOSE="2"),
                                timeout=60)
-        if f"Core: {kernel}" not in probe.stderr:
+        if probe.returncode or f"Core: {kernel}" not in probe.stderr:
             return False
     return True
 
@@ -97,10 +100,21 @@ def _threads_change_bits() -> bool:
     return len(bits) == 2
 
 
-def _skip_unless_kernels_switch() -> None:
-    if not _kernels_switch():
-        pytest.skip("numpy's BLAS cannot be switched between the Haswell and Sandybridge "
-                    "kernels (not a DYNAMIC_ARCH OpenBLAS)")
+def _skip_unless_kernels_switch(kernels: tuple[str, ...] = _KERNELS) -> None:
+    if not _kernels_switch(kernels):
+        pytest.skip(f"numpy's BLAS cannot be switched between the {' and '.join(kernels)} "
+                    "kernels (not a DYNAMIC_ARCH OpenBLAS, or a CPU that lacks one)")
+
+
+def _dict_wide_under(kernels: tuple[str, ...], tmp_path, monkeypatch) -> list:
+    """The dict-wide smoke ``dict`` at seed 41, once under each of ``kernels``."""
+    _skip_unless_kernels_switch(kernels)
+    monkeypatch.syspath_prepend(str(_ROOT / "perfbench"))
+    from workloads import DictWorkload
+
+    workload = DictWorkload("dict-wide", 41, True, tmp_path, None, None)
+    workload.setup()
+    return [_dict(workload.argv, OPENBLAS_CORETYPE=kernel) for kernel in kernels]
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -109,14 +123,18 @@ def _skip_unless_kernels_switch() -> None:
 def test_dict_wide_prints_one_output_under_the_haswell_and_sandybridge_kernels(
     tmp_path, monkeypatch
 ):
-    _skip_unless_kernels_switch()
-    monkeypatch.syspath_prepend(str(_ROOT / "perfbench"))
-    from workloads import DictWorkload
-
-    workload = DictWorkload("dict-wide", 41, True, tmp_path, None, None)
-    workload.setup()
-    haswell, sandybridge = (_dict(workload.argv, OPENBLAS_CORETYPE=kernel) for kernel in _KERNELS)
+    haswell, sandybridge = _dict_wide_under(_KERNELS, tmp_path, monkeypatch)
     assert haswell == sandybridge
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="a distance's dot product has other bits under each FMA kernel: "
+                          "item 11")
+def test_dict_wide_prints_one_output_under_the_haswell_and_skylakex_kernels(
+    tmp_path, monkeypatch
+):
+    haswell, skylakex = _dict_wide_under(("Haswell", "SkylakeX"), tmp_path, monkeypatch)
+    assert haswell == skylakex
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

@@ -123,7 +123,18 @@ def test_meaning_of_three_adjectives_and_a_noun(tmp_path):
 
 
 @pytest.mark.xfail(strict=True, raises=MemoryError,
-                   reason="asks for 1.00 GiB for 512 entries: item 4a, meanings over word networks")
+                   reason="asks for 2.00 GiB for 16 entries: items 4a, meanings over word "
+                          "networks, and 18, joins that never form the pairwise product")
+def test_meaning_of_a_verb_final_sentence(tmp_path):
+    # three nouns, then a verb that closes three nested cups at once: a 1.35 MB file
+    lex = _lexicon(tmp_path / "lex.json", {"n": 16, "s": 16},
+                   {"x": "n", "y": "n", "z": "n", "v": "n^r n^r n^r s"})
+    _run_capped("meaning", "--lex", lex, "--phrase", "x y z v", "--to", "s")
+
+
+@pytest.mark.xfail(strict=True, raises=MemoryError,
+                   reason="asks for 1.00 GiB for 512 entries: items 4a, meanings over word "
+                          "networks, and 18, joins that never form the pairwise product")
 def test_translate_of_an_adjective_and_a_noun(tmp_path):
     # a two-word phrase at d=2, pushed through n -> m m m at m=8
     lex = _lexicon(tmp_path / "lex.json", {"n": 2}, {"adj": "n n^l", "c": "n"}, "a")
